@@ -2,9 +2,10 @@
 
 The package computes partial stable model family semantics for normal
 logic programs, complete labelling family semantics for SETAFs, the
-statement-based translation from programs to SETAFs and its inverse,
-the four program transformations with fair normalization, and oracle
-suites for the correspondence results connecting all of these.
+translation from programs to SETAFs through minimal vulnerability sets
+(with statements as its explanation) and its inverse, the four program
+transformations with fair normalization, and oracle suites for the
+correspondence results connecting all of these.
 """
 
 from .correspond import (
@@ -116,6 +117,7 @@ from .translate import (
     arguments,
     is_rfalp,
     minimal_transversals,
+    minimal_vulnerabilities,
     nlp_to_setaf,
     rfalp_violations,
     setaf_to_nlp,

@@ -67,7 +67,8 @@ class StepNotApplicable(InputError):
 
 
 class BlowupCap(CapExceeded):
-    """Statement construction exceeded the configured statement bound."""
+    """Translation exceeded the configured work bound (max_statements):
+    candidate vulnerability sets formed, or statement combinations tried."""
 
 
 class StepCapExceeded(CapExceeded):

@@ -1,11 +1,19 @@
 """From programs to SETAFs and back.
 
-The forward direction builds *statements*: derivation trees showing how an
-atom can be concluded, tracking which rules were used and which negated atoms
-the derivation is vulnerable to. Atoms with at least one statement are the
-arguments. A set of arguments attacks an argument a when it is a minimal set
-hitting every vulnerability set of a, so computing attacks is minimal-
-transversal enumeration over the vulnerability families.
+The forward direction needs, per atom, only its inclusion-minimal
+vulnerability sets: the negated atoms some derivation of the atom depends
+on. Atoms with a derivation are the arguments. A set of arguments attacks
+an argument a when it is a minimal set hitting every vulnerability set of
+a, and the minimal transversals of a family are those of its minimal
+members, so attacks come from minimal-transversal enumeration over the
+minimal vulnerability sets. minimal_vulnerabilities computes those as a
+least fixpoint, without building derivations.
+
+*Statements* are the derivations themselves: trees showing how an atom can
+be concluded, tracking which rules were used and which negated atoms the
+derivation is vulnerable to. statements and vul_family enumerate them in
+full, as the explanation of a translation and as an independent reference
+for the fixpoint; their number can grow exponentially with the program.
 
 The reverse direction needs no trees: each argument gets one atomic rule per
 minimal transversal of the sources attacking it. On redundancy-free atomic
@@ -17,15 +25,17 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
-from typing import Iterable
+from itertools import islice, product
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .errors import BlowupCap
 from .programs import Program, Rule
 from .setafs import Attack, Setaf
 
-#: Statement construction is worst-case exponential in the program size;
-#: fail loudly past this many distinct statements rather than hang.
+#: Translation work is worst-case exponential in the program size; fail
+#: loudly past this many candidate sets formed by minimal_vulnerabilities
+#: (or combinations tried by statements) rather than hang.
 DEFAULT_STATEMENT_CAP = 100_000
 
 
@@ -63,23 +73,20 @@ def statements(p: Program, max_statements: int = DEFAULT_STATEMENT_CAP) -> froze
     its own. A rule r with positive body {b1..bk} extends statements s1..sk
     for b1..bk into a statement for head(r), provided r itself was not used
     inside any child (that guard is what makes the construction finite).
-    Raises BlowupCap past *max_statements* distinct statements.
+    Raises BlowupCap once more than *max_statements* combinations of child
+    statements have been tried, however few distinct statements they gave.
 
-    Cached: programs are immutable and the callers upstream (labelling
-    conversions, equivalence checks) hit the same program thousands of times.
+    Cached: programs are immutable and the callers (vul_family, the
+    statement-reading suites) ask for the same program repeatedly.
     """
     found: set[Statement] = set()
     by_conc: dict[str, list[Statement]] = {}
     todo: deque[Statement] = deque()
+    tried = 0
 
     def add(s: Statement):
         if s in found:
             return
-        if len(found) >= max_statements:
-            raise BlowupCap(
-                f"more than {max_statements} distinct statements; raise the cap "
-                "if this program really is that tangled"
-            )
         found.add(s)
         by_conc.setdefault(s.conc, []).append(s)
         todo.append(s)
@@ -103,19 +110,93 @@ def statements(p: Program, max_statements: int = DEFAULT_STATEMENT_CAP) -> froze
                 else:
                     pools.append([s for s in by_conc.get(atom, []) if r not in s.rules])
             for combo in product(*pools):
+                tried += 1
+                if tried > max_statements:
+                    raise BlowupCap(
+                        f"statement construction tried more than {max_statements} "
+                        "combinations; raise the cap if this program really is that tangled"
+                    )
                 rules = frozenset([r]).union(*(s.rules for s in combo))
                 vul = r.body_neg.union(*(s.vul for s in combo))
                 add(Statement(r.head, rules, vul, subs=combo))
     return frozenset(found)
 
 
+@lru_cache(maxsize=4096)
+def minimal_vulnerabilities(
+    p: Program, max_statements: int = DEFAULT_STATEMENT_CAP
+) -> Mapping[str, frozenset[frozenset[str]]]:
+    """Each derivable atom's inclusion-minimal vulnerability sets: the
+    minimal members of vul_family(p), without enumerating statements.
+
+    The least fixpoint of V(a) = min{ neg(r) | v1 | ... | vk : r a rule
+    for a with positive body {b1..bk}, each vi in V(bi) }. A derivation that
+    uses a rule twice on one path can be cut down to one that does not,
+    with no more vulnerabilities, so dropping the statements' no-reuse
+    guard loses no minimal set. The fixpoint exists because every change
+    makes some V(a) cover strictly more supersets, and a finite universe
+    has finitely many. A worklist re-fires a rule only when V of one of its
+    positive body atoms has changed, and each join is minimized at once.
+    Raises BlowupCap once the fixpoint would form more than
+    *max_statements* candidate sets.
+
+    Cached: the labelling conversions and equivalence checks ask for the
+    same program thousands of times. The mapping is read-only, as every
+    caller gets the same one.
+    """
+    rules = p.sorted_rules()
+    watchers: dict[str, list[int]] = {}
+    for i, r in enumerate(rules):
+        for b in r.body_pos:
+            watchers.setdefault(b, []).append(i)
+    found: dict[str, list[frozenset[str]]] = {}
+    formed = 0
+
+    def fire(r: Rule) -> set[frozenset[str]]:
+        nonlocal formed
+        formed += 1
+        cands = {r.body_neg}
+        for b in sorted(r.body_pos, key=lambda b: (len(found[b]), b)):
+            formed += len(cands) * len(found[b])
+            if formed > max_statements:
+                raise BlowupCap(
+                    f"minimal vulnerability fixpoint formed more than {max_statements} "
+                    "candidate sets; raise the cap if this program really is that tangled"
+                )
+            cands = _minimal_sets({c | v for c in cands for v in found[b]})
+        return cands
+
+    def merge(atom: str, cands: set[frozenset[str]]) -> bool:
+        old = found.get(atom, [])
+        new = [c for c in cands if not any(o <= c for o in old)]
+        if not new:
+            return False
+        found[atom] = new + [o for o in old if not any(c < o for c in new)]
+        return True
+
+    todo = deque(i for i, r in enumerate(rules) if not r.body_pos)
+    queued = set(todo)
+    while todo:
+        i = todo.popleft()
+        queued.discard(i)
+        r = rules[i]
+        if merge(r.head, fire(r)):
+            for j in watchers.get(r.head, ()):
+                if j not in queued and rules[j].body_pos <= found.keys():
+                    todo.append(j)
+                    queued.add(j)
+    return MappingProxyType({a: frozenset(vs) for a, vs in found.items()})
+
+
 def arguments(p: Program, max_statements: int = DEFAULT_STATEMENT_CAP) -> frozenset[str]:
-    """Atoms concluded by at least one statement."""
-    return frozenset(s.conc for s in statements(p, max_statements))
+    """Atoms concluded by at least one statement: those with a minimal
+    vulnerability set."""
+    return frozenset(minimal_vulnerabilities(p, max_statements))
 
 
 def vul_family(p: Program, max_statements: int = DEFAULT_STATEMENT_CAP) -> dict[str, frozenset[frozenset[str]]]:
-    """The vulnerability sets of each argument, grouped by conclusion."""
+    """The vulnerability sets of each argument, grouped by conclusion: every
+    statement's, minimal or not."""
     fam: dict[str, set[frozenset[str]]] = {}
     for s in statements(p, max_statements):
         fam.setdefault(s.conc, set()).add(s.vul)
@@ -123,10 +204,19 @@ def vul_family(p: Program, max_statements: int = DEFAULT_STATEMENT_CAP) -> dict[
 
 
 def _minimal_sets(sets: Iterable[frozenset[str]]) -> set[frozenset[str]]:
-    """Inclusion-minimal members. Input must be duplicate-free."""
+    """Inclusion-minimal members.
+
+    Shortest first; a set can only be strictly inside a shorter one, so
+    each set is checked against the shorter kept sets alone, and sets of
+    one length never meet (which keeps wide joins of equal-sized sets
+    linear).
+    """
     kept: list[frozenset[str]] = []
-    for s in sorted(sets, key=lambda x: (len(x), tuple(sorted(x)))):
-        if not any(k <= s for k in kept):
+    shorter = 0
+    for s in sorted(sets, key=len):
+        while shorter < len(kept) and len(kept[shorter]) < len(s):
+            shorter += 1
+        if not any(k <= s for k in islice(kept, shorter)):
             kept.append(s)
     return set(kept)
 
@@ -164,14 +254,17 @@ def nlp_to_setaf(p: Program, max_statements: int = DEFAULT_STATEMENT_CAP) -> Set
     """The SETAF associated with p.
 
     Arguments are the atoms with statements. The attackers of a are the
-    minimal argument sets hitting every vulnerability set of a. Only the
-    argument part of a vulnerability set matters: an atom that is never
-    concluded can never be made true, so it cannot carry an attack, and a
-    vulnerability set wholly outside the arguments makes its owner
-    unattackable on that front (and if every front is like that, a is not
-    attacked at all).
+    minimal argument sets hitting every vulnerability set of a; those are
+    the minimal transversals of a's minimal vulnerability sets, taken from
+    the minimal_vulnerabilities fixpoint. statements(p) explains each attack
+    but is not built here. Only the argument part of a vulnerability set
+    matters: an atom that is never concluded can never be made true, so it
+    cannot carry an attack, and a vulnerability set wholly outside the
+    arguments makes its owner unattackable on that front (and if every
+    front is like that, a is not attacked at all). Raises BlowupCap as
+    minimal_vulnerabilities does.
     """
-    fam = vul_family(p, max_statements)
+    fam = minimal_vulnerabilities(p, max_statements)
     args = frozenset(fam)
     attacks = set()
     for a, vuls in fam.items():

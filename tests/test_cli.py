@@ -228,6 +228,18 @@ def test_cap_exit_code(capsys, tmp_path):
     assert "cap" in err
 
 
+def test_translation_cap_exit_code(capsys, tmp_path):
+    # b needs all of a1..a12, each with two fronts: 4096 minimal sets for b.
+    f = tmp_path / "wide.lp"
+    f.write_text(
+        "b :- " + ", ".join(f"a{i}" for i in range(1, 13)) + ".\n"
+        + "".join(f"a{i} :- not x{i}.\na{i} :- not y{i}.\n" for i in range(1, 13))
+    )
+    code, _, err = run(capsys, "translate", str(f), "--max-statements", "100")
+    assert code == 3
+    assert "cap" in err
+
+
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "semantics", "/definitely/not/here.lp")
     assert code == 2

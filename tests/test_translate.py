@@ -1,5 +1,6 @@
 """Statements, vulnerability families, attacks, and both translation directions."""
 
+import time
 from itertools import chain, combinations
 
 import pytest
@@ -7,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from setaflp.errors import BlowupCap
 from setaflp.programs import Program, rule
-from setaflp.setafs import Attack, validate_setaf
+from setaflp.propcheck import GenConfig, gen_program
+from setaflp.setafs import Attack, Setaf, validate_setaf
 from setaflp.translate import (
     arguments,
     is_rfalp,
     minimal_transversals,
+    minimal_vulnerabilities,
     nlp_to_setaf,
     rfalp_violations,
     setaf_to_nlp,
@@ -95,6 +98,24 @@ def test_statement_blowup_cap():
     doubling = Program(rules)
     with pytest.raises(BlowupCap):
         statements(doubling, max_statements=100)
+
+
+# b :- a1, ..., a12 with two one-atom fronts per ai: 4096 minimal sets for b.
+WIDE_JOIN = Program(
+    [rule("b", pos=[f"a{i}" for i in range(1, 13)])]
+    + [rule(f"a{i}", neg=[f"{x}{i}"]) for i in range(1, 13) for x in "xy"]
+)
+
+
+def test_minimal_vulnerability_fixpoint_blowup_cap():
+    assert len(minimal_vulnerabilities(WIDE_JOIN)["b"]) == 4096
+    with pytest.raises(BlowupCap):
+        nlp_to_setaf(WIDE_JOIN, max_statements=100)
+
+
+def test_minimal_vulnerabilities_are_read_only():
+    with pytest.raises(TypeError):
+        minimal_vulnerabilities(EX3)["a"] = frozenset()
 
 
 def test_minimal_transversals_frozen_cases():
@@ -222,3 +243,48 @@ def test_derived_program_is_always_rfalp(p):
 def test_setaf_round_trip_is_identity(p):
     s = nlp_to_setaf(p)
     assert nlp_to_setaf(setaf_to_nlp(s)) == s
+
+
+def minimal_members(sets):
+    return frozenset(v for v in sets if not any(u < v for u in sets))
+
+
+def assert_matches_statement_path(p):
+    """The fixpoint against the full statement enumeration: the same minimal
+    vulnerability sets, and the same SETAF as transversals of every
+    statement's vulnerabilities."""
+    fam = vul_family(p)
+    assert minimal_vulnerabilities(p) == {a: minimal_members(vs) for a, vs in fam.items()}
+    args = frozenset(fam)
+    reference = Setaf(
+        args,
+        frozenset(
+            Attack(source, a)
+            for a, vuls in fam.items()
+            for source in minimal_transversals(v & args for v in vuls)
+        ),
+    )
+    assert nlp_to_setaf(p) == reference
+
+
+@pytest.mark.parametrize("max_body_pos", [2, 3])
+def test_fixpoint_matches_statements_on_seeded_programs(max_body_pos):
+    for seed in range(100):
+        for atoms, rules in ((4, 6), (5, 9), (6, 11)):
+            cfg = GenConfig(atoms, rules, max_body_pos=max_body_pos, seed=seed)
+            assert_matches_statement_path(gen_program(cfg))
+
+
+@given(programs_st())
+@settings(max_examples=150)
+def test_fixpoint_matches_statements(p):
+    assert_matches_statement_path(p)
+
+
+def test_wide_program_translates_fast():
+    # Statement enumeration on this program runs for over a minute.
+    p = gen_program(GenConfig(atom_count=8, rule_count=22, max_body_pos=3, seed=8))
+    minimal_vulnerabilities.cache_clear()
+    start = time.perf_counter()
+    nlp_to_setaf(p)
+    assert time.perf_counter() - start < 1.0
