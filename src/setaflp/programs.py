@@ -46,7 +46,25 @@ def _atom_set(atoms: Iterable[str]) -> frozenset[str]:
     return frozenset(validate_atom(a) for a in atoms)
 
 
-@dataclass(frozen=True)
+#: Equal rule bodies share one set. A normalization trace keeps a rule per
+#: step alive, and most of their bodies repeat (the empty body above all);
+#: unshared, the body sets were about half of a trace's memory. Cleared
+#: when full, so the table never holds more than a few thousand sets.
+_BODIES: dict[frozenset[str], frozenset[str]] = {}
+_BODIES_MAX = 4096
+
+
+def _body_set(atoms: Iterable[str]) -> frozenset[str]:
+    body = _atom_set(atoms)
+    shared = _BODIES.get(body)
+    if shared is None:
+        if len(_BODIES) >= _BODIES_MAX:
+            _BODIES.clear()
+        _BODIES[body] = shared = body
+    return shared
+
+
+@dataclass(frozen=True, slots=True)
 class Rule:
     """One rule. Example: Rule("c", body_pos={"a"}, body_neg={"b"}) is
     ``c :- a, not b.``"""
@@ -57,8 +75,8 @@ class Rule:
 
     def __post_init__(self):
         validate_atom(self.head)
-        object.__setattr__(self, "body_pos", _atom_set(self.body_pos))
-        object.__setattr__(self, "body_neg", _atom_set(self.body_neg))
+        object.__setattr__(self, "body_pos", _body_set(self.body_pos))
+        object.__setattr__(self, "body_neg", _body_set(self.body_neg))
 
     def atoms(self) -> frozenset[str]:
         return self.body_pos | self.body_neg | {self.head}
@@ -118,7 +136,13 @@ class Program:
             object.__setattr__(self, "universe", universe)
 
     def sorted_rules(self) -> list[Rule]:
-        return sorted(self.rules, key=Rule.sort_key)
+        return list(self._sorted_rules)
+
+    @cached_property
+    def _sorted_rules(self) -> tuple[Rule, ...]:
+        # Normalization asks each program it passes through for this order
+        # several times: for the next step, for by_head and for the digest.
+        return tuple(sorted(self.rules, key=Rule.sort_key))
 
     def occurring_atoms(self) -> frozenset[str]:
         return frozenset(a for r in self.rules for a in r.atoms())

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import InputError, InternalInvariantViolation, StepCapExceeded, StepNotApplicable
 from .programs import Program, Rule
@@ -37,7 +37,7 @@ class StepKind(enum.Enum):
 _ORDER = {k: i for i, k in enumerate(StepKind)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransformStep:
     """One transformation: *kind* applied to *rule*.
 
@@ -80,7 +80,7 @@ class TransformStep:
         return f"{self.kind.value}({self.rule}){extra}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEntry:
     step: TransformStep
     digest: str
@@ -96,24 +96,33 @@ def program_digest(p: Program) -> str:
 
 def applicable_steps(p: Program) -> list[TransformStep]:
     """Every applicable step, ordered by kind, then rule, then atom."""
+    return list(_steps(p, StepKind))
+
+
+def _steps(p: Program, kinds: Iterable[StepKind]) -> Iterator[TransformStep]:
+    """The applicable steps of the given kinds, in applicable_steps order,
+    generated lazily so that a caller wanting the first one stops there."""
+    kinds = frozenset(kinds)
     rules = p.sorted_rules()
-    heads = p.heads()
-    steps: list[TransformStep] = []
-    for r in rules:
-        for a in sorted(r.body_pos):
-            steps.append(TransformStep(StepKind.UNFOLD, r, atom=a))
-    for r in rules:
-        if r.head in r.body_pos:
-            steps.append(TransformStep(StepKind.TAUTOLOGY, r))
-    for r in rules:
-        for b in sorted(r.body_neg):
-            if b not in heads:
-                steps.append(TransformStep(StepKind.POSITIVE_REDUCTION, r, atom=b))
-    for r in rules:
-        for keep in p.by_head.get(r.head, ()):
-            if keep != r and keep.body_pos <= r.body_pos and keep.body_neg <= r.body_neg:
-                steps.append(TransformStep(StepKind.NON_MINIMAL, r, keep=keep))
-    return steps
+    if StepKind.UNFOLD in kinds:
+        for r in rules:
+            for a in sorted(r.body_pos):
+                yield TransformStep(StepKind.UNFOLD, r, atom=a)
+    if StepKind.TAUTOLOGY in kinds:
+        for r in rules:
+            if r.head in r.body_pos:
+                yield TransformStep(StepKind.TAUTOLOGY, r)
+    if StepKind.POSITIVE_REDUCTION in kinds:
+        heads = p.heads()
+        for r in rules:
+            for b in sorted(r.body_neg):
+                if b not in heads:
+                    yield TransformStep(StepKind.POSITIVE_REDUCTION, r, atom=b)
+    if StepKind.NON_MINIMAL in kinds:
+        for r in rules:
+            for keep in p.by_head.get(r.head, ()):
+                if keep != r and keep.body_pos <= r.body_pos and keep.body_neg <= r.body_neg:
+                    yield TransformStep(StepKind.NON_MINIMAL, r, keep=keep)
 
 
 def apply(p: Program, step: TransformStep) -> Program:
@@ -159,7 +168,7 @@ def apply(p: Program, step: TransformStep) -> Program:
 
 def is_irreducible(p: Program) -> bool:
     """No step of any kind applies."""
-    return not applicable_steps(p)
+    return next(_steps(p, StepKind), None) is None
 
 
 def replay(start: Program, trace: Iterable[TraceEntry]) -> Program:
@@ -218,14 +227,7 @@ def fair_normalize(
                 break
             do(TransformStep(StepKind.UNFOLD, target, atom=x))
     while True:
-        step = next(
-            (
-                s
-                for s in applicable_steps(p)
-                if s.kind in (StepKind.POSITIVE_REDUCTION, StepKind.NON_MINIMAL)
-            ),
-            None,
-        )
+        step = next(_steps(p, (StepKind.POSITIVE_REDUCTION, StepKind.NON_MINIMAL)), None)
         if step is None:
             break
         do(step)

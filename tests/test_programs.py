@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from setaflp import programs
 from setaflp.errors import CapExceeded, DomainMismatch, InputError
 from setaflp.programs import (
     Interpretation,
@@ -51,6 +52,24 @@ def test_rule_coerces_and_prints():
     assert str(rule("c")) == "c."
     assert rule("c").is_fact and rule("c", neg="b").is_atomic
     assert not rule("c", pos="a").is_atomic
+
+
+def test_equal_rule_bodies_share_one_set():
+    a, b = rule("a", pos=["x", "y"], neg="z"), Rule("b", frozenset("yx"), ["z"])
+    assert a.body_pos is b.body_pos and a.body_neg is b.body_neg
+    assert rule("c").body_pos is rule("d", neg="e").body_pos
+
+
+def test_shared_body_table_stays_bounded():
+    made = [rule("a", pos=[f"p{i}"], neg=[f"n{i}"]) for i in range(3 * programs._BODIES_MAX)]
+    assert len(programs._BODIES) <= programs._BODIES_MAX
+    assert all(r.body_pos == {f"p{i}"} and r.body_neg == {f"n{i}"} for i, r in enumerate(made))
+
+
+def test_sorted_rules_is_a_fresh_list():
+    p = Program([rule("b"), rule("a", neg="b")])
+    p.sorted_rules().clear()
+    assert p.sorted_rules() == [rule("a", neg="b"), rule("b")]
 
 
 def test_rule_rejects_bad_atoms():

@@ -1,5 +1,7 @@
 """Program transformations, traces, and fair normalization."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,7 +11,9 @@ from setaflp.transform import (
     LEX,
     REVERSE_LEX,
     StepKind,
+    TraceEntry,
     TransformStep,
+    _steps,
     applicable_steps,
     apply,
     fair_normalize,
@@ -221,3 +225,53 @@ def test_every_step_leaves_the_setaf_alone(p, strategy):
     for entry in trace:
         q = apply(q, entry.step)
         assert nlp_to_setaf(q) == target
+
+
+def reference_steps(p):
+    """Every applicable step straight from the step definitions, in the
+    documented order: kind, then rule, then atom or surviving rule."""
+    rules = sorted(p.rules, key=lambda r: r.sort_key())
+    heads = {r.head for r in rules}
+    out = [unfold(r, a) for r in rules for a in sorted(r.body_pos)]
+    out += [tautology(r) for r in rules if r.head in r.body_pos]
+    out += [pos_reduction(r, b) for r in rules for b in sorted(r.body_neg) if b not in heads]
+    for r in rules:
+        for keep in rules:
+            subsumes = keep.body_pos <= r.body_pos and keep.body_neg <= r.body_neg
+            if keep.head == r.head and keep != r and subsumes:
+                out.append(non_minimal(r, keep))
+    return out
+
+
+KIND_SUBSETS = [kinds for n in range(len(StepKind) + 1) for kinds in combinations(StepKind, n)]
+
+
+@given(programs_st())
+@settings(max_examples=150)
+def test_lazy_steps_match_the_step_definitions(p):
+    reference = reference_steps(p)
+    assert applicable_steps(p) == reference
+    assert is_irreducible(p) == (not reference)
+    for kinds in KIND_SUBSETS:
+        assert list(_steps(p, kinds)) == [s for s in reference if s.kind in kinds]
+
+
+@given(programs_st(), st.sampled_from([LEX, REVERSE_LEX]))
+@settings(max_examples=100)
+def test_reduction_phase_takes_the_first_applicable_step(p, strategy):
+    q = p
+    _, trace = fair_normalize(p, strategy)
+    reducing = (StepKind.POSITIVE_REDUCTION, StepKind.NON_MINIMAL)
+    for entry in trace:
+        if entry.step.kind in reducing:
+            assert entry.step == next(s for s in reference_steps(q) if s.kind in reducing)
+        q = apply(q, entry.step)
+
+
+def test_trace_values_keep_no_instance_dict():
+    # A trace holds one entry, step and rule per step; slots keep each small.
+    _, trace = fair_normalize(CHAIN, LEX)
+    entry = trace[0]
+    assert isinstance(entry, TraceEntry)
+    for value in (entry, entry.step, entry.step.rule):
+        assert not hasattr(value, "__dict__")
