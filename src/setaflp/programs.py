@@ -333,24 +333,28 @@ def all_interpretations(universe: Iterable[str]) -> Iterator[Interpretation]:
 
 # --- fast fixpoint search ----------------------------------------------------
 #
-# partial_stable_models scans all 3^n candidate interpretations. Doing that
-# through the reference operators above allocates sets per candidate and gets
-# slow around n = 7 when called thousands of times (the property suites do).
-# The scan below runs the same two fixpoint iterations on bitmasks instead.
-# A test cross-checks it against omega() on random programs.
+# partial_stable_models scans all 3^n candidate interpretations, and the
+# corollary-1 and lemma-1 suites read omega's image of every one of them.
+# Doing that through the reference operators above allocates and validates
+# sets per candidate and gets slow around n = 7 when called thousands of
+# times (the property suites do). The scan and the sweep below run the same
+# two fixpoint iterations on bitmasks instead. Tests cross-check omega_bits
+# against omega() on every interpretation of random programs.
 
 
 class _IndexedProgram:
     def __init__(self, p: Program):
         self.atoms = sorted(p.universe)
-        index = {a: i for i, a in enumerate(self.atoms)}
-        mask = lambda s: sum(1 << index[a] for a in s)
+        self.index = {a: i for i, a in enumerate(self.atoms)}
         self.n = len(self.atoms)
         self.full = (1 << self.n) - 1
         self.rules = [
-            (1 << index[r.head], mask(r.body_pos), mask(r.body_neg))
+            (1 << self.index[r.head], self.mask(r.body_pos), self.mask(r.body_neg))
             for r in p.sorted_rules()
         ]
+
+    def mask(self, atoms: Iterable[str]) -> int:
+        return sum(1 << self.index[a] for a in atoms)
 
     def omega_bits(self, t: int, f: int) -> tuple[int, int]:
         rules = self.rules
@@ -384,7 +388,21 @@ class _IndexedProgram:
         return frozenset(a for i, a in enumerate(self.atoms) if bits >> i & 1)
 
 
-@lru_cache(maxsize=4096)
+def _reduct_sweep(ip: _IndexedProgram) -> Iterator[tuple[int, int, int, int]]:
+    """(t, f, *ip.omega_bits(t, f)) for every consistent interpretation
+    (t, f) over the universe, in all_interpretations order: the first
+    atom's value varies slowest, and each atom goes true, false, undefined."""
+    n = ip.n
+    values = [(1 << i, 1 << (n + i), 0) for i in range(n)]  # t bit, f bit, neither
+    for picked in itertools.product(*values):
+        both = sum(picked)
+        t, f = both & ip.full, both >> n
+        yield (t, f, *ip.omega_bits(t, f))
+
+
+# Bounded to a few times one check run's working set: the rewrite suites
+# ask for the models of every program one transformation step away.
+@lru_cache(maxsize=256)
 def _psm_cached(p: Program, max_atoms: int) -> tuple[Interpretation, ...]:
     if len(p.universe) > max_atoms:
         raise CapExceeded(
@@ -409,8 +427,8 @@ def partial_stable_models(p: Program, max_atoms: int = DEFAULT_ATOM_CAP) -> list
 
     Scans every consistent interpretation, so it refuses universes larger
     than *max_atoms* (CapExceeded) rather than running for hours. Results
-    are cached per program (everything involved is immutable); callers get
-    a fresh list each time.
+    are cached for the last 256 programs (everything involved is
+    immutable); callers get a fresh list each time.
     """
     return list(_psm_cached(p, max_atoms))
 

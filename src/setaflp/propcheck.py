@@ -31,6 +31,8 @@ from .programs import (
     PositiveRule,
     Program,
     Rule,
+    _IndexedProgram,
+    _reduct_sweep,
     all_interpretations,
     l_stable_models,
     least_model,
@@ -202,7 +204,8 @@ def _guard_enum(count: int, caps: Caps):
         raise CapExceeded(f"enumeration over {count} atoms exceeds the cap of {caps.max_atoms}")
 
 
-@lru_cache(maxsize=1024)
+# One normal form per strategy is all a check run needs; traces are large.
+@lru_cache(maxsize=8)
 def _norm(p: Program, strategy: str, max_steps: int):
     return fair_normalize(p, strategy, max_steps)
 
@@ -586,6 +589,10 @@ def _t23(p: Program, caps: Caps) -> Verdict:
 
 @_suite("corollary-1", "lp", "arguments are the positively derivable atoms; lost atoms are always false")
 def _c1(p: Program, caps: Caps) -> Verdict:
+    """The arguments are the atoms true in omega of the all-false
+    interpretation (one reference omega call), and the other atoms are
+    false in omega of every interpretation. The sweep reads omega's images
+    on bitmasks; the arguments come from the translation."""
     args = arguments(p, caps.max_statements)
     everything_false = Interpretation(frozenset(), p.universe)
     derived = omega(p, everything_false)
@@ -594,14 +601,15 @@ def _c1(p: Program, caps: Caps) -> Verdict:
             "corollary-1",
             f"arguments {sorted(args)} vs derivable atoms {sorted(derived.true)}",
         )
-    lost = p.universe - args
     _guard_enum(len(p.universe), caps)
-    for i in all_interpretations(p.universe):
-        w = omega(p, i)
-        if not lost <= w.false:
+    ip = _IndexedProgram(p)
+    lost = ip.full & ~ip.mask(args)
+    for t, f, _, wf in _reduct_sweep(ip):
+        if lost & ~wf:
+            i = Interpretation(ip.unmask(t), ip.unmask(f))
             return _fail(
                 "corollary-1",
-                f"lost atoms {sorted(lost - w.false)} not false under "
+                f"lost atoms {sorted(ip.unmask(lost & ~wf))} not false under "
                 f"{print_interpretation(i, p.universe)}",
             )
     return _pass("corollary-1")
@@ -609,23 +617,30 @@ def _c1(p: Program, caps: Caps) -> Verdict:
 
 @_suite("lemma-1", "lp", "statement vulnerabilities predict the least model of every reduct")
 def _l1(p: Program, caps: Caps) -> Verdict:
-    by_conc: dict[str, list[frozenset[str]]] = {}
-    for s in statements(p, caps.max_statements):
-        by_conc.setdefault(s.conc, []).append(s.vul)
+    """Under every interpretation I, omega(p, I) makes an atom true exactly
+    when some statement for it has every vulnerability false in I, and false
+    exactly when every statement for it has a vulnerability true in I. The
+    statements come from the translation, omega's images from the bitmask
+    sweep; the first interpretation that disagrees is the counterexample."""
+    stmts = statements(p, caps.max_statements)
     _guard_enum(len(p.universe), caps)
-    for i in all_interpretations(p.universe):
-        w = omega(p, i)
-        expect_true = {
-            c for c, vuls in by_conc.items() if any(v <= i.false for v in vuls)
-        }
-        expect_false = {
-            c for c in p.universe if all(v & i.true for v in by_conc.get(c, []))
-        }
-        if w.true != expect_true or w.false != expect_false:
+    ip = _IndexedProgram(p)
+    fronts = {(1 << ip.index[s.conc], ip.mask(s.vul)) for s in stmts}
+    for t, f, wt, wf in _reduct_sweep(ip):
+        expect_true = unrefuted = 0
+        for conc, vul in fronts:
+            if not vul & ~f:
+                expect_true |= conc
+            if not vul & t:
+                unrefuted |= conc
+        expect_false = ip.full & ~unrefuted
+        if wt != expect_true or wf != expect_false:
+            i = Interpretation(ip.unmask(t), ip.unmask(f))
+            w = Interpretation(ip.unmask(wt), ip.unmask(wf))
             return _fail(
                 "lemma-1",
                 f"under {print_interpretation(i, p.universe)} expected "
-                f"T={sorted(expect_true)} F={sorted(expect_false)}, got "
+                f"T={sorted(ip.unmask(expect_true))} F={sorted(ip.unmask(expect_false))}, got "
                 f"{print_interpretation(w, p.universe)}",
             )
     return _pass("lemma-1")

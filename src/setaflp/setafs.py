@@ -222,7 +222,8 @@ def all_labellings(arguments: Iterable[str]) -> Iterator[Labelling]:
         yield Labelling.from_map(dict(zip(args, values)))
 
 
-@lru_cache(maxsize=4096)
+# A check or semantics run asks about one or two frameworks.
+@lru_cache(maxsize=16)
 def _complete_cached(s: Setaf, max_atoms: int) -> tuple[Labelling, ...]:
     if len(s.arguments) > max_atoms:
         raise CapExceeded(
@@ -236,7 +237,7 @@ def complete_labellings(s: Setaf, max_atoms: int = DEFAULT_ATOM_CAP) -> list[Lab
     """All complete labellings, canonically ordered by (in, out, undec).
 
     Exhaustive 3^n filter, hence the argument-count cap (CapExceeded).
-    Cached per SETAF; callers get a fresh list each time.
+    Cached for the last 16 SETAFs; callers get a fresh list each time.
     """
     return list(_complete_cached(s, max_atoms))
 

@@ -65,7 +65,7 @@ class Statement:
         )
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=16)
 def statements(p: Program, max_statements: int = DEFAULT_STATEMENT_CAP) -> frozenset[Statement]:
     """All statements of p, deduplicated by (conc, rules, vul).
 
@@ -76,8 +76,9 @@ def statements(p: Program, max_statements: int = DEFAULT_STATEMENT_CAP) -> froze
     Raises BlowupCap once more than *max_statements* combinations of child
     statements have been tried, however few distinct statements they gave.
 
-    Cached: programs are immutable and the callers (vul_family, the
-    statement-reading suites) ask for the same program repeatedly.
+    Cached for the last 16 programs: programs are immutable and the
+    callers (vul_family, the statement-reading suites) ask for the same
+    program repeatedly, one program at a time.
     """
     found: set[Statement] = set()
     by_conc: dict[str, list[Statement]] = {}
@@ -122,7 +123,7 @@ def statements(p: Program, max_statements: int = DEFAULT_STATEMENT_CAP) -> froze
     return frozenset(found)
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=256)
 def minimal_vulnerabilities(
     p: Program, max_statements: int = DEFAULT_STATEMENT_CAP
 ) -> Mapping[str, frozenset[frozenset[str]]]:
@@ -140,9 +141,10 @@ def minimal_vulnerabilities(
     Raises BlowupCap once the fixpoint would form more than
     *max_statements* candidate sets.
 
-    Cached: the labelling conversions and equivalence checks ask for the
-    same program thousands of times. The mapping is read-only, as every
-    caller gets the same one.
+    Cached for the last 256 programs: the labelling conversions and
+    equivalence checks ask for the same program thousands of times, and
+    theorem-21 translates every program of a normalization trace. The
+    mapping is read-only, as every caller gets the same one.
     """
     rules = p.sorted_rules()
     watchers: dict[str, list[int]] = {}

@@ -2,10 +2,12 @@
 
 import io
 import os
+import sys
 
 from setaflp import propcheck
 from setaflp.cli import main
-from setaflp.propcheck import Suite, Verdict
+from setaflp.propcheck import GenConfig, Suite, Verdict, gen_program, gen_setaf
+from setaflp.textio import print_program, print_setaf
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 EX2 = os.path.join(DATA, "ex2.lp")
@@ -244,3 +246,45 @@ def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "semantics", "/definitely/not/here.lp")
     assert code == 2
     assert "cannot read" in err
+
+
+def _package_caches():
+    """Every module-level lru_cache of the package, each once."""
+    found = {}
+    for name, module in list(sys.modules.items()):
+        if name == "setaflp" or name.startswith("setaflp."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_info"):
+                    found[id(value)] = value
+    return list(found.values())
+
+
+def test_check_caches_hold_one_instance_with_room_to_spare(capsys, tmp_path):
+    """One `check --theorems all` run fills each cache to at most half its
+    size, so a second identical run computes nothing again. The seeded
+    7-atom programs have the longest normalization traces seen among such
+    programs, which set the working set of the rewrite suites."""
+    inputs = [os.path.join(DATA, name) for name in sorted(os.listdir(DATA))]
+    seeded = [
+        ("lp", print_program(gen_program(GenConfig(7, 14, seed=10)))),
+        ("lp", print_program(gen_program(GenConfig(7, 14, max_body_pos=3, seed=21)))),
+        ("lp", print_program(gen_program(GenConfig(7, 8, seed=3)))),
+        ("setaf", print_setaf(gen_setaf(GenConfig(7, 8, seed=0)))),
+        ("setaf", print_setaf(gen_setaf(GenConfig(7, 12, seed=1)))),
+    ]
+    for index, (kind, text) in enumerate(seeded):
+        path = tmp_path / f"seeded{index}.{kind}"
+        path.write_text(text)
+        inputs.append(str(path))
+    caches = _package_caches()
+    assert len(caches) == 5
+    for path in inputs:
+        for cache in caches:
+            cache.cache_clear()
+        assert run(capsys, "check", path, "--theorems", "all")[0] == 0
+        for cache in caches:
+            info = cache.cache_info()
+            assert info.maxsize is not None and info.currsize <= info.maxsize // 2, (path, cache, info)
+        misses = [cache.cache_info().misses for cache in caches]
+        assert run(capsys, "check", path, "--theorems", "all")[0] == 0
+        assert [cache.cache_info().misses for cache in caches] == misses, path

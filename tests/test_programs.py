@@ -25,6 +25,7 @@ from setaflp.programs import (
     stable_models,
     well_founded_model,
 )
+from setaflp.propcheck import GenConfig, gen_program
 
 EX2_RULES = (
     rule("a", neg=["b"]),
@@ -273,6 +274,31 @@ def test_fixpoint_scan_agrees_with_reference_omega(p):
         key=Interpretation.sort_key,
     )
     assert partial_stable_models(p) == expected
+
+
+def assert_sweep_matches_omega(p):
+    """The bitmask sweep visits the interpretations in all_interpretations
+    order and gives omega's image of each one, fixpoint or not."""
+    ip = programs._IndexedProgram(p)
+    swept = [
+        (Interpretation(ip.unmask(t), ip.unmask(f)), Interpretation(ip.unmask(wt), ip.unmask(wf)))
+        for t, f, wt, wf in programs._reduct_sweep(ip)
+    ]
+    assert swept == [(i, reference_omega(p, i)) for i in all_interpretations(p.universe)]
+
+
+@given(programs_st())
+@settings(max_examples=150)
+def test_sweep_gives_omega_of_every_interpretation(p):
+    assert_sweep_matches_omega(p)
+
+
+@pytest.mark.parametrize("max_body_pos", [2, 3])
+def test_sweep_gives_omega_of_every_interpretation_on_seeded_programs(max_body_pos):
+    assert_sweep_matches_omega(Program([]))
+    for seed in range(60):
+        cfg = GenConfig(1 + seed % 6, 2 + seed % 11, max_body_pos=max_body_pos, seed=seed)
+        assert_sweep_matches_omega(gen_program(cfg))
 
 
 @given(programs_st())

@@ -2,12 +2,14 @@
 
 import pytest
 
-from setaflp.errors import InputError
-from setaflp.programs import Program
+from setaflp import programs, propcheck
+from setaflp.errors import BlowupCap, InputError
+from setaflp.programs import Interpretation, Program, all_interpretations
 from setaflp.propcheck import (
     CHECK_GROUPS,
     Caps,
     GenConfig,
+    Verdict,
     catalogue,
     check_group,
     gen_program,
@@ -16,7 +18,7 @@ from setaflp.propcheck import (
     suite_names,
 )
 from setaflp.setafs import validate_setaf
-from setaflp.textio import parse_program, print_program, print_setaf
+from setaflp.textio import parse_program, print_interpretation, print_program, print_setaf
 
 EX2 = parse_program(
     "a :- not b.\nb :- not a.\nc :- not a, not c.\n"
@@ -132,3 +134,136 @@ def test_all_suites_pass_on_small_seeded_instances():
             for instance in (p, s):
                 v = run_suite(name, instance, caps)
                 assert v.status != "fail", (name, seed, v.counterexample)
+
+
+# --- the definition-level sweeps, kept as oracles -----------------------------
+# corollary-1 and lemma-1 sweep omega's images on bitmasks. These are the
+# sweeps they replaced, over all_interpretations and the reference omega.
+# They read the translation and omega through the propcheck module, so a
+# test that patches one there patches both sides alike.
+
+
+def reference_corollary_1(p, caps=Caps()):
+    args = propcheck.arguments(p, caps.max_statements)
+    everything_false = Interpretation(frozenset(), p.universe)
+    derived = propcheck.omega(p, everything_false)
+    if derived.true != args:
+        return Verdict(
+            "corollary-1",
+            "fail",
+            "",
+            f"arguments {sorted(args)} vs derivable atoms {sorted(derived.true)}",
+        )
+    lost = p.universe - args
+    for i in all_interpretations(p.universe):
+        w = propcheck.omega(p, i)
+        if not lost <= w.false:
+            return Verdict(
+                "corollary-1",
+                "fail",
+                "",
+                f"lost atoms {sorted(lost - w.false)} not false under "
+                f"{print_interpretation(i, p.universe)}",
+            )
+    return Verdict("corollary-1", "pass")
+
+
+def reference_lemma_1(p, caps=Caps()):
+    by_conc = {}
+    for s in propcheck.statements(p, caps.max_statements):
+        by_conc.setdefault(s.conc, []).append(s.vul)
+    for i in all_interpretations(p.universe):
+        w = propcheck.omega(p, i)
+        expect_true = {c for c, vuls in by_conc.items() if any(v <= i.false for v in vuls)}
+        expect_false = {c for c in p.universe if all(v & i.true for v in by_conc.get(c, []))}
+        if w.true != expect_true or w.false != expect_false:
+            return Verdict(
+                "lemma-1",
+                "fail",
+                "",
+                f"under {print_interpretation(i, p.universe)} expected "
+                f"T={sorted(expect_true)} F={sorted(expect_false)}, got "
+                f"{print_interpretation(w, p.universe)}",
+            )
+    return Verdict("lemma-1", "pass")
+
+
+def _oracle_programs():
+    """300 seeded programs of 1-7 atoms (one in fifteen of 6 or 7, as the
+    reference sweeps take half a second per 7-atom program), a third with
+    3-atom positive bodies, then criterion 8's 100 lemma-1 programs."""
+    for seed in range(300):
+        atoms = 6 + seed // 15 % 2 if seed % 15 == 0 else 1 + seed % 5
+        yield gen_program(
+            GenConfig(atoms, seed % 13, max_body_pos=2 + (seed % 3 == 0), seed=seed + 3000)
+        )
+    for i in range(100):
+        yield gen_program(GenConfig(atom_count=(i % 5) + 1, rule_count=(i * 3) % 9, seed=i + 500))
+
+
+def _small_programs():
+    for seed in range(120):
+        yield gen_program(
+            GenConfig(1 + seed % 5, 1 + seed % 9, max_body_pos=2 + seed % 2, seed=seed + 4000)
+        )
+
+
+def _outcome(check, p):
+    """The verdict, or the cap that stopped the check."""
+    try:
+        return check(p)
+    except BlowupCap as exc:
+        return str(exc)
+
+
+def test_bitmask_suites_match_the_reference_sweeps():
+    capped = 0
+    for p in _oracle_programs():
+        for name, reference in (("corollary-1", reference_corollary_1), ("lemma-1", reference_lemma_1)):
+            got = _outcome(lambda q: run_suite(name, q), p)
+            assert got == _outcome(reference, p), name
+            capped += isinstance(got, str)
+    assert capped < 10
+
+
+def test_lemma_1_counterexamples_match_the_reference_sweep(monkeypatch):
+    """With one statement per program withheld, both sweeps stop at the
+    same first interpretation and print the same counterexample."""
+    real = propcheck.statements
+
+    def one_withheld(p, max_statements):
+        found = sorted(real(p, max_statements), key=lambda s: s.sort_key())
+        return frozenset(found[1:])
+
+    monkeypatch.setattr(propcheck, "statements", one_withheld)
+    failed = 0
+    for p in _small_programs():
+        verdict = run_suite("lemma-1", p)
+        assert verdict == reference_lemma_1(p)
+        failed += verdict.status == "fail"
+    assert failed >= 30
+
+
+def test_corollary_1_counterexamples_match_the_reference_sweep(monkeypatch):
+    """With omega made to leave undefined every atom that the interpretation
+    leaves undefined, both sweeps stop at the same first interpretation and
+    print the same counterexample."""
+    real_bits = programs._IndexedProgram.omega_bits
+    real_omega = propcheck.omega
+
+    def bits(self, t, f):
+        wt, wf = real_bits(self, t, f)
+        return wt, wf & (t | f)
+
+    def omega(p, i):
+        w = real_omega(p, i)
+        return Interpretation(w.true, w.false & (i.true | i.false))
+
+    monkeypatch.setattr(programs._IndexedProgram, "omega_bits", bits)
+    monkeypatch.setattr(propcheck, "omega", omega)
+    failed = 0
+    for p in _small_programs():
+        verdict = run_suite("corollary-1", p)
+        assert verdict == reference_corollary_1(p)
+        failed += verdict.status == "fail"
+    assert failed >= 30
