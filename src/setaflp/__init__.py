@@ -123,6 +123,7 @@ from .translate import (
     setaf_to_nlp,
     statements,
     vul_family,
+    vulnerability_pairs,
 )
 
 __version__ = "0.1.0"

@@ -342,19 +342,29 @@ def all_interpretations(universe: Iterable[str]) -> Iterator[Interpretation]:
 # against omega() on every interpretation of random programs.
 
 
-class _IndexedProgram:
-    def __init__(self, p: Program):
-        self.atoms = sorted(p.universe)
+class _AtomIndex:
+    """Bit i stands for the i-th atom in sorted order."""
+
+    def __init__(self, atoms: Iterable[str]):
+        self.atoms = sorted(atoms)
         self.index = {a: i for i, a in enumerate(self.atoms)}
         self.n = len(self.atoms)
         self.full = (1 << self.n) - 1
+
+    def mask(self, atoms: Iterable[str]) -> int:
+        return sum(1 << self.index[a] for a in atoms)
+
+    def unmask(self, bits: int) -> frozenset[str]:
+        return frozenset(a for i, a in enumerate(self.atoms) if bits >> i & 1)
+
+
+class _IndexedProgram(_AtomIndex):
+    def __init__(self, p: Program):
+        super().__init__(p.universe)
         self.rules = [
             (1 << self.index[r.head], self.mask(r.body_pos), self.mask(r.body_neg))
             for r in p.sorted_rules()
         ]
-
-    def mask(self, atoms: Iterable[str]) -> int:
-        return sum(1 << self.index[a] for a in atoms)
 
     def omega_bits(self, t: int, f: int) -> tuple[int, int]:
         rules = self.rules
@@ -384,19 +394,23 @@ class _IndexedProgram:
             jf = nf
         return jt, jf
 
-    def unmask(self, bits: int) -> frozenset[str]:
-        return frozenset(a for i, a in enumerate(self.atoms) if bits >> i & 1)
+
+def _three_valued(bits: list[int]) -> Iterator[tuple[int, int]]:
+    """Every disjoint (t, f) pair of masks over the atoms whose single bits
+    are listed, in all_interpretations order, which is also all_labellings
+    order with in as t and out as f: the first listed atom varies slowest,
+    and each goes true, false, then neither."""
+    shift = sum(bits).bit_length()
+    low = (1 << shift) - 1
+    for picked in itertools.product(*[(b, b << shift, 0) for b in bits]):
+        both = sum(picked)
+        yield both & low, both >> shift
 
 
 def _reduct_sweep(ip: _IndexedProgram) -> Iterator[tuple[int, int, int, int]]:
     """(t, f, *ip.omega_bits(t, f)) for every consistent interpretation
-    (t, f) over the universe, in all_interpretations order: the first
-    atom's value varies slowest, and each atom goes true, false, undefined."""
-    n = ip.n
-    values = [(1 << i, 1 << (n + i), 0) for i in range(n)]  # t bit, f bit, neither
-    for picked in itertools.product(*values):
-        both = sum(picked)
-        t, f = both & ip.full, both >> n
+    (t, f) over the universe, in all_interpretations order."""
+    for t, f in _three_valued([1 << i for i in range(ip.n)]):
         yield (t, f, *ip.omega_bits(t, f))
 
 

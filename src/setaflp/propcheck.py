@@ -31,9 +31,10 @@ from .programs import (
     PositiveRule,
     Program,
     Rule,
+    _AtomIndex,
     _IndexedProgram,
     _reduct_sweep,
-    all_interpretations,
+    _three_valued,
     l_stable_models,
     least_model,
     narrow_universe,
@@ -44,8 +45,8 @@ from .programs import (
     well_founded_model,
 )
 from .setafs import (
+    Labelling,
     Setaf,
-    all_labellings,
     complete_labellings,
     grounded,
     minimize_attacks,
@@ -59,9 +60,10 @@ from .transform import (
     LEX,
     REVERSE_LEX,
     StepKind,
+    TransformStep,
+    _fair_steps,
     applicable_steps,
     apply,
-    fair_normalize,
     is_irreducible,
 )
 from .translate import (
@@ -71,7 +73,7 @@ from .translate import (
     nlp_to_setaf,
     rfalp_violations,
     setaf_to_nlp,
-    statements,
+    vulnerability_pairs,
 )
 
 # --- generators ---------------------------------------------------------------
@@ -204,10 +206,34 @@ def _guard_enum(count: int, caps: Caps):
         raise CapExceeded(f"enumeration over {count} atoms exceeds the cap of {caps.max_atoms}")
 
 
-# One normal form per strategy is all a check run needs; traces are large.
+# The normal form and the steps that reach it, per strategy: theorem-21
+# replays the steps, and no suite reads the trace digests, so none are
+# computed (hashing would also load OpenSSL into every check). A check run
+# asks for two programs at most.
 @lru_cache(maxsize=8)
-def _norm(p: Program, strategy: str, max_steps: int):
-    return fair_normalize(p, strategy, max_steps)
+def _norm(p: Program, strategy: str, max_steps: int) -> tuple[Program, tuple[TransformStep, ...]]:
+    steps = []
+    for step, p in _fair_steps(p, strategy, max_steps):
+        steps.append(step)
+    return p, tuple(steps)
+
+
+# --- labelling <-> interpretation conversions on bitmasks ------------------------
+# theorem-1 and theorem-5 run the conversions of correspond.py over all 3^n
+# labellings and interpretations. These are the same definitions on masks,
+# so the sweeps build objects and text for the first counterexample only.
+
+
+def _l2i_bits(in_: int, out: int, lost: int) -> tuple[int, int]:
+    """l2i_p: in becomes true, out and every lost atom (a universe atom
+    that is no argument) false. With lost = 0 it is l2i_af."""
+    return in_, out | lost
+
+
+def _i2l_bits(t: int, f: int, args: int) -> tuple[int, int]:
+    """i2l_p: the (in, out) restriction to the arguments; undec is the rest
+    of them. With every atom an argument it is i2l_af."""
+    return t & args, f & args
 
 
 # --- program-side suites --------------------------------------------------------
@@ -215,13 +241,24 @@ def _norm(p: Program, strategy: str, max_steps: int):
 
 @_suite("theorem-1", "lp", "labelling -> interpretation -> labelling is the identity")
 def _t1(p: Program, caps: Caps) -> Verdict:
+    """Every labelling of the arguments, in all_labellings order, goes to
+    an interpretation over the universe and back, on bitmasks."""
     args = arguments(p, caps.max_statements)
     _guard_enum(len(args), caps)
-    for l in all_labellings(args):
-        back = i2l_p(p, l2i_p(p, l, caps.max_statements), caps.max_statements)
-        if back != l:
+    ix = _AtomIndex(p.universe)
+    a = ix.mask(args)
+    lost = ix.full & ~a
+
+    def labelling(in_: int, out: int) -> Labelling:
+        return Labelling(ix.unmask(in_), ix.unmask(out), ix.unmask(a & ~in_ & ~out))
+
+    for in_, out in _three_valued([1 << ix.index[x] for x in sorted(args)]):
+        back = _i2l_bits(*_l2i_bits(in_, out, lost), a)
+        if back != (in_, out):
             return _fail(
-                "theorem-1", f"{print_labelling(l)} came back as {print_labelling(back)}"
+                "theorem-1",
+                f"{print_labelling(labelling(in_, out))} came back as "
+                f"{print_labelling(labelling(*back))}",
             )
     return _pass("theorem-1")
 
@@ -331,19 +368,31 @@ def _c2(p: Program, caps: Caps) -> Verdict:
 
 @_suite("theorem-5", "setaf", "labelling/interpretation conversions are mutual inverses")
 def _t5(s: Setaf, caps: Caps) -> Verdict:
+    """Every labelling (all_labellings order), then every interpretation
+    (all_interpretations order) over the arguments goes across and back,
+    on bitmasks."""
     _guard_enum(len(s.arguments), caps)
-    for l in all_labellings(s.arguments):
-        back = i2l_af(l2i_af(l), s.arguments)
-        if back != l:
-            return _fail("theorem-5", f"{print_labelling(l)} came back as {print_labelling(back)}")
-    for i in all_interpretations(s.arguments):
-        back_i = l2i_af(i2l_af(i, s.arguments))
-        if back_i != i:
+    ix = _AtomIndex(s.arguments)
+    bits = [1 << i for i in range(ix.n)]
+
+    def labelling(in_: int, out: int) -> Labelling:
+        return Labelling(ix.unmask(in_), ix.unmask(out), ix.unmask(ix.full & ~in_ & ~out))
+
+    def interpretation(t: int, f: int) -> str:
+        return print_interpretation(Interpretation(ix.unmask(t), ix.unmask(f)), s.arguments)
+
+    for in_, out in _three_valued(bits):
+        back = _i2l_bits(*_l2i_bits(in_, out, 0), ix.full)
+        if back != (in_, out):
             return _fail(
                 "theorem-5",
-                f"{print_interpretation(i, s.arguments)} came back as "
-                f"{print_interpretation(back_i, s.arguments)}",
+                f"{print_labelling(labelling(in_, out))} came back as "
+                f"{print_labelling(labelling(*back))}",
             )
+    for t, f in _three_valued(bits):
+        back = _l2i_bits(*_i2l_bits(t, f, ix.full), 0)
+        if back != (t, f):
+            return _fail("theorem-5", f"{interpretation(t, f)} came back as {interpretation(*back)}")
     return _pass("theorem-5")
 
 
@@ -556,13 +605,11 @@ def _t21(p: Program, caps: Caps) -> Verdict:
     target = nlp_to_setaf(p, caps.max_statements)
     for strategy in (LEX, REVERSE_LEX):
         q = p
-        _, trace = _norm(p, strategy, caps.max_steps)
-        for idx, entry in enumerate(trace, 1):
-            q = apply(q, entry.step)
+        _, steps = _norm(p, strategy, caps.max_steps)
+        for idx, step in enumerate(steps, 1):
+            q = apply(q, step)
             if nlp_to_setaf(q, caps.max_statements) != target:
-                return _fail(
-                    "theorem-21", f"{strategy} step {idx} ({entry.step}) changed the SETAF"
-                )
+                return _fail("theorem-21", f"{strategy} step {idx} ({step}) changed the SETAF")
     return _pass("theorem-21")
 
 
@@ -619,13 +666,17 @@ def _c1(p: Program, caps: Caps) -> Verdict:
 def _l1(p: Program, caps: Caps) -> Verdict:
     """Under every interpretation I, omega(p, I) makes an atom true exactly
     when some statement for it has every vulnerability false in I, and false
-    exactly when every statement for it has a vulnerability true in I. The
-    statements come from the translation, omega's images from the bitmask
-    sweep; the first interpretation that disagrees is the counterexample."""
-    stmts = statements(p, caps.max_statements)
+    exactly when every statement for it has a vulnerability true in I. Both
+    conditions are monotone in the vulnerability sets, so they read the
+    translation's deduplicated (conclusion, vulnerability set) pairs, whose
+    extra sets contain some statement's, instead of the statements, which
+    differ by the rules they use and can be far more. omega's images come
+    from the bitmask sweep; the first interpretation that disagrees is the
+    counterexample."""
+    pairs = vulnerability_pairs(p, caps.max_statements)
     _guard_enum(len(p.universe), caps)
     ip = _IndexedProgram(p)
-    fronts = {(1 << ip.index[s.conc], ip.mask(s.vul)) for s in stmts}
+    fronts = {(1 << ip.index[conc], ip.mask(vul)) for conc, vul in pairs}
     for t, f, wt, wf in _reduct_sweep(ip):
         expect_true = unrefuted = 0
         for conc, vul in fronts:

@@ -12,7 +12,6 @@ resulting program so any reported sequence can be replayed and audited.
 from __future__ import annotations
 
 import enum
-import hashlib
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -90,7 +89,12 @@ Trace = tuple[TraceEntry, ...]
 
 
 def program_digest(p: Program) -> str:
-    """Short stable digest of the canonical program text."""
+    """Short stable digest of the canonical program text.
+
+    hashlib is imported here, on first use: it loads OpenSSL, which only
+    traces need, so checks and semantics runs never pay for it."""
+    import hashlib
+
     return hashlib.sha256(print_program(p).encode("utf-8")).hexdigest()[:12]
 
 
@@ -198,25 +202,39 @@ def fair_normalize(
     the loop ends with no positive bodies at all. After that, positive
     reduction and non-minimal elimination run to their joint fixpoint, which
     shrinks the program monotonically. The step cap only guards against
-    bugs; the schedule above cannot loop.
+    bugs; the schedule above cannot loop. Each trace entry carries the
+    digest of the program its step produced.
     """
+    entries = []
+    for step, p in _fair_steps(p, strategy, max_steps):
+        entries.append(TraceEntry(step, program_digest(p)))
+    return p, tuple(entries)
+
+
+def _fair_steps(
+    p: Program, strategy: str, max_steps: int
+) -> Iterator[tuple[TransformStep, Program]]:
+    """The fair schedule of fair_normalize, one (step, resulting program)
+    pair at a time, without digests. Raises StepCapExceeded before taking
+    step max_steps + 1."""
     if strategy not in (LEX, REVERSE_LEX):
         raise InputError(f"unknown strategy {strategy!r}, expected '{LEX}' or '{REVERSE_LEX}'")
-    entries: list[TraceEntry] = []
+    taken = 0
 
-    def do(step: TransformStep):
-        nonlocal p
-        if len(entries) >= max_steps:
+    def do(step: TransformStep) -> tuple[TransformStep, Program]:
+        nonlocal p, taken
+        if taken >= max_steps:
             raise StepCapExceeded(f"normalization exceeded {max_steps} steps")
+        taken += 1
         p = apply(p, step)
-        entries.append(TraceEntry(step, program_digest(p)))
+        return step, p
 
     while True:
         while True:
             taut = next((r for r in p.sorted_rules() if r.head in r.body_pos), None)
             if taut is None:
                 break
-            do(TransformStep(StepKind.TAUTOLOGY, taut))
+            yield do(TransformStep(StepKind.TAUTOLOGY, taut))
         positive = sorted({a for r in p.rules for a in r.body_pos})
         if not positive:
             break
@@ -225,12 +243,11 @@ def fair_normalize(
             target = next((r for r in p.sorted_rules() if x in r.body_pos), None)
             if target is None:
                 break
-            do(TransformStep(StepKind.UNFOLD, target, atom=x))
+            yield do(TransformStep(StepKind.UNFOLD, target, atom=x))
     while True:
         step = next(_steps(p, (StepKind.POSITIVE_REDUCTION, StepKind.NON_MINIMAL)), None)
         if step is None:
             break
-        do(step)
+        yield do(step)
     if not is_irreducible(p):
         raise InternalInvariantViolation("normalization finished on a reducible program")
-    return p, tuple(entries)

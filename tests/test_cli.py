@@ -169,6 +169,17 @@ def test_check_all_reports_the_table(capsys):
     assert "failed=0" in lines[-1]
 
 
+def test_check_lemma_1_on_a_program_with_many_statements(capsys, tmp_path):
+    # Its statements, which differ by the rules they use, take over 100 000
+    # combinations to enumerate; lemma-1 reads only (conclusion,
+    # vulnerability set) pairs and runs in milliseconds.
+    f = tmp_path / "tangled.lp"
+    f.write_text(print_program(gen_program(GenConfig(3, 12, max_body_pos=3, seed=3012))))
+    code, out, _ = run(capsys, "check", str(f), "--theorems", "all")
+    assert code == 0
+    assert "lemma-1" in out and "failed=0" in out.splitlines()[-1]
+
+
 def test_check_single_group(capsys):
     code, out, _ = run(capsys, "check", FIG1, "--theorems", "inverse")
     assert code == 0

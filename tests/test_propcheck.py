@@ -5,6 +5,7 @@ import pytest
 from setaflp import programs, propcheck
 from setaflp.errors import BlowupCap, InputError
 from setaflp.programs import Interpretation, Program, all_interpretations
+from setaflp.setafs import Labelling, all_labellings
 from setaflp.propcheck import (
     CHECK_GROUPS,
     Caps,
@@ -18,7 +19,13 @@ from setaflp.propcheck import (
     suite_names,
 )
 from setaflp.setafs import validate_setaf
-from setaflp.textio import parse_program, print_interpretation, print_program, print_setaf
+from setaflp.textio import (
+    parse_program,
+    print_interpretation,
+    print_labelling,
+    print_program,
+    print_setaf,
+)
 
 EX2 = parse_program(
     "a :- not b.\nb :- not a.\nc :- not a, not c.\n"
@@ -137,10 +144,44 @@ def test_all_suites_pass_on_small_seeded_instances():
 
 
 # --- the definition-level sweeps, kept as oracles -----------------------------
-# corollary-1 and lemma-1 sweep omega's images on bitmasks. These are the
-# sweeps they replaced, over all_interpretations and the reference omega.
-# They read the translation and omega through the propcheck module, so a
-# test that patches one there patches both sides alike.
+# corollary-1 and lemma-1 sweep omega's images on bitmasks, and theorem-1
+# and theorem-5 sweep the labelling conversions on bitmasks. These are the
+# sweeps they replaced, over all_interpretations or all_labellings and the
+# object-level omega and conversions. They read the translation, omega and
+# the conversions through the propcheck module, so a test that patches one
+# there patches both sides alike.
+
+
+def reference_theorem_1(p, caps=Caps()):
+    args = propcheck.arguments(p, caps.max_statements)
+    for l in all_labellings(args):
+        i = propcheck.l2i_p(p, l, caps.max_statements)
+        back = propcheck.i2l_p(p, i, caps.max_statements)
+        if back != l:
+            return Verdict(
+                "theorem-1", "fail", "", f"{print_labelling(l)} came back as {print_labelling(back)}"
+            )
+    return Verdict("theorem-1", "pass")
+
+
+def reference_theorem_5(s, caps=Caps()):
+    for l in all_labellings(s.arguments):
+        back = propcheck.i2l_af(propcheck.l2i_af(l), s.arguments)
+        if back != l:
+            return Verdict(
+                "theorem-5", "fail", "", f"{print_labelling(l)} came back as {print_labelling(back)}"
+            )
+    for i in all_interpretations(s.arguments):
+        back_i = propcheck.l2i_af(propcheck.i2l_af(i, s.arguments))
+        if back_i != i:
+            return Verdict(
+                "theorem-5",
+                "fail",
+                "",
+                f"{print_interpretation(i, s.arguments)} came back as "
+                f"{print_interpretation(back_i, s.arguments)}",
+            )
+    return Verdict("theorem-5", "pass")
 
 
 def reference_corollary_1(p, caps=Caps()):
@@ -170,8 +211,8 @@ def reference_corollary_1(p, caps=Caps()):
 
 def reference_lemma_1(p, caps=Caps()):
     by_conc = {}
-    for s in propcheck.statements(p, caps.max_statements):
-        by_conc.setdefault(s.conc, []).append(s.vul)
+    for conc, vul in propcheck.vulnerability_pairs(p, caps.max_statements):
+        by_conc.setdefault(conc, []).append(vul)
     for i in all_interpretations(p.universe):
         w = propcheck.omega(p, i)
         expect_true = {c for c, vuls in by_conc.items() if any(v <= i.false for v in vuls)}
@@ -227,15 +268,16 @@ def test_bitmask_suites_match_the_reference_sweeps():
 
 
 def test_lemma_1_counterexamples_match_the_reference_sweep(monkeypatch):
-    """With one statement per program withheld, both sweeps stop at the
-    same first interpretation and print the same counterexample."""
-    real = propcheck.statements
+    """With one (conclusion, vulnerability set) pair per program withheld,
+    both sweeps stop at the same first interpretation and print the same
+    counterexample."""
+    real = propcheck.vulnerability_pairs
 
     def one_withheld(p, max_statements):
-        found = sorted(real(p, max_statements), key=lambda s: s.sort_key())
+        found = sorted(real(p, max_statements), key=lambda cv: (cv[0], sorted(cv[1])))
         return frozenset(found[1:])
 
-    monkeypatch.setattr(propcheck, "statements", one_withheld)
+    monkeypatch.setattr(propcheck, "vulnerability_pairs", one_withheld)
     failed = 0
     for p in _small_programs():
         verdict = run_suite("lemma-1", p)
@@ -265,5 +307,68 @@ def test_corollary_1_counterexamples_match_the_reference_sweep(monkeypatch):
     for p in _small_programs():
         verdict = run_suite("corollary-1", p)
         assert verdict == reference_corollary_1(p)
+        failed += verdict.status == "fail"
+    assert failed >= 30
+
+
+def _oracle_setafs():
+    """300 seeded SETAFs of 1-7 arguments, then criterion 6's 200."""
+    for seed in range(300):
+        yield gen_setaf(GenConfig(1 + seed % 7, seed % 12, max_body_neg=1 + seed % 3, seed=seed + 6000))
+    for i in range(200):
+        yield gen_setaf(GenConfig(atom_count=(i % 7) + 1, rule_count=(i * 5) % 11, seed=i))
+
+
+def test_bitmask_conversion_sweeps_match_the_reference_sweeps():
+    for p in _oracle_programs():
+        assert _outcome(lambda q: run_suite("theorem-1", q), p) == _outcome(reference_theorem_1, p)
+    for s in _oracle_setafs():
+        assert run_suite("theorem-5", s) == reference_theorem_5(s)
+
+
+def _leave_smallest_false_undec(monkeypatch, i2l_name):
+    """Perturb an object-level i2l conversion and its mask form alike: when
+    at least two atoms are false, the smallest of them is labelled undec
+    instead of out. The universe's lost atoms count towards the two, and
+    the smallest may be one of them."""
+    real = getattr(propcheck, i2l_name)
+    real_bits = propcheck._i2l_bits
+
+    def i2l(*args):
+        l = real(*args)
+        i = args[1] if i2l_name == "i2l_p" else args[0]
+        if len(i.false) >= 2:
+            x = min(i.false)
+            if x in l.out:
+                return Labelling(l.in_, l.out - {x}, l.undec | {x})
+        return l
+
+    def i2l_bits(t, f, args):
+        in_, out = real_bits(t, f, args)
+        if f.bit_count() >= 2:
+            out &= ~(f & -f)
+        return in_, out
+
+    monkeypatch.setattr(propcheck, i2l_name, i2l)
+    monkeypatch.setattr(propcheck, "_i2l_bits", i2l_bits)
+
+
+def test_theorem_1_counterexamples_match_the_reference_sweep(monkeypatch):
+    _leave_smallest_false_undec(monkeypatch, "i2l_p")
+    failed = 0
+    for p in _small_programs():
+        verdict = run_suite("theorem-1", p)
+        assert verdict == reference_theorem_1(p)
+        failed += verdict.status == "fail"
+    assert failed >= 30
+
+
+def test_theorem_5_counterexamples_match_the_reference_sweep(monkeypatch):
+    _leave_smallest_false_undec(monkeypatch, "i2l_af")
+    failed = 0
+    for seed in range(120):
+        s = gen_setaf(GenConfig(1 + seed % 5, seed % 7, seed=seed + 6500))
+        verdict = run_suite("theorem-5", s)
+        assert verdict == reference_theorem_5(s)
         failed += verdict.status == "fail"
     assert failed >= 30
