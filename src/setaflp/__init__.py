@@ -38,7 +38,6 @@ from .programs import (
     Program,
     Rule,
     all_interpretations,
-    herbrand_base,
     l_stable_models,
     least_model,
     narrow_universe,
@@ -123,7 +122,6 @@ from .translate import (
     setaf_to_nlp,
     statements,
     vul_family,
-    vulnerability_pairs,
 )
 
 __version__ = "0.1.0"

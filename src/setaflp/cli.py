@@ -12,26 +12,10 @@ import argparse
 import os
 import sys
 
-from .correspond import check_equivalence
+from .correspond import PAIRS, check_equivalence
 from .errors import CapExceeded, InputError
-from .programs import (
-    DEFAULT_ATOM_CAP,
-    Program,
-    l_stable_models,
-    partial_stable_models,
-    regular_models,
-    stable_models,
-    well_founded_model,
-)
+from .programs import DEFAULT_ATOM_CAP, Program
 from .propcheck import Caps, GenConfig, check_group, gen_program, gen_setaf, run_suite
-from .setafs import (
-    Setaf,
-    complete_labellings,
-    grounded,
-    preferred,
-    semi_stable,
-    stable,
-)
 from .textio import (
     format_trace,
     parse_program,
@@ -45,9 +29,6 @@ from .textio import (
 )
 from .transform import DEFAULT_STEP_CAP, LEX, REVERSE_LEX, fair_normalize
 from .translate import DEFAULT_STATEMENT_CAP, nlp_to_setaf, setaf_to_nlp
-
-_LP_SEMANTICS = ("pstable", "wf", "regular", "stable", "lstable")
-_AF_SEMANTICS = ("complete", "grounded", "preferred", "stable", "semistable")
 
 
 def _read_source(path: str) -> str:
@@ -89,54 +70,30 @@ def _use_color() -> bool:
     return sys.stdout.isatty()
 
 
-def _lp_models(p: Program, which: str, max_atoms: int):
-    if which == "pstable":
-        return partial_stable_models(p, max_atoms)
-    if which == "wf":
-        return [well_founded_model(p, max_atoms)]
-    if which == "regular":
-        return regular_models(p, max_atoms)
-    if which == "stable":
-        return stable_models(p, max_atoms)
-    return l_stable_models(p, max_atoms)
-
-
-def _af_labellings(s: Setaf, which: str, max_atoms: int):
-    if which == "complete":
-        return complete_labellings(s, max_atoms)
-    if which == "grounded":
-        return [grounded(s, max_atoms)]
-    if which == "preferred":
-        return preferred(s, max_atoms)
-    if which == "stable":
-        return stable(s, max_atoms)
-    return semi_stable(s, max_atoms)
+def _print_semantics(args: argparse.Namespace, engines: dict, instance, show) -> int:
+    """Each selected semantics' results, one per line, then their count;
+    under --semantics all, every block is headed by its name."""
+    targets = engines if args.semantics == "all" else (args.semantics,)
+    for which in targets:
+        if args.semantics == "all":
+            print(f"# {which}")
+        found = engines[which](instance, args.max_atoms)
+        for result in found:
+            print(show(result))
+        print(f"count={len(found)}")
+    return 0
 
 
 def cmd_semantics(args: argparse.Namespace) -> int:
     p = parse_program(_read_source(args.file))
-    targets = _LP_SEMANTICS if args.semantics == "all" else (args.semantics,)
-    for which in targets:
-        if args.semantics == "all":
-            print(f"# {which}")
-        models = _lp_models(p, which, args.max_atoms)
-        for m in models:
-            print(print_interpretation(m, p.universe))
-        print(f"count={len(models)}")
-    return 0
+    engines = {pair.lp_cli: pair.models for pair in PAIRS}
+    return _print_semantics(args, engines, p, lambda m: print_interpretation(m, p.universe))
 
 
 def cmd_labellings(args: argparse.Namespace) -> int:
     s = parse_setaf(_read_source(args.file))
-    targets = _AF_SEMANTICS if args.semantics == "all" else (args.semantics,)
-    for which in targets:
-        if args.semantics == "all":
-            print(f"# {which}")
-        labellings = _af_labellings(s, which, args.max_atoms)
-        for l in labellings:
-            print(print_labelling(l))
-        print(f"count={len(labellings)}")
-    return 0
+    engines = {pair.af_cli: pair.labellings for pair in PAIRS}
+    return _print_semantics(args, engines, s, print_labelling)
 
 
 def cmd_translate(args: argparse.Namespace) -> int:
@@ -233,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_arg(semantics)
     semantics.add_argument(
         "--semantics",
-        choices=_LP_SEMANTICS + ("all",),
+        choices=[pair.lp_cli for pair in PAIRS] + ["all"],
         default="pstable",
     )
     _add_max_atoms(semantics)
@@ -243,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_arg(labellings)
     labellings.add_argument(
         "--semantics",
-        choices=_AF_SEMANTICS + ("all",),
+        choices=[pair.af_cli for pair in PAIRS] + ["all"],
         default="complete",
     )
     _add_max_atoms(labellings)

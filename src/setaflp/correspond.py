@@ -1,5 +1,6 @@
-"""Conversions between labellings and interpretations, and the equivalence
-report built on them.
+"""Conversions between labellings and interpretations, the table of the five
+program/SETAF semantics pairs, and the equivalence report built on them.
+The command line and the correspondence suites read the same table.
 
 On the program side, in/out/undec verdicts correspond to true/false/undefined
 restricted to the arguments; atoms with no statements are false in every
@@ -10,7 +11,7 @@ the SETAF side the correspondence is the evident triple identification.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import DomainMismatch
 from .programs import (
@@ -85,6 +86,54 @@ def i2l_af(i: Interpretation, args: Iterable[str]) -> Labelling:
     return Labelling(i.true, i.false, domain - i.true - i.false)
 
 
+# --- the five semantics pairs ------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SemanticsPair:
+    """A program semantics and the labelling semantics it corresponds to.
+
+    lp_name/af_name name the pair in the equivalence report and in suite
+    texts, lp_cli/af_cli on the command line. models(p, max_atoms) and
+    labellings(s, max_atoms) list the results of each side; each computes
+    its own side, never through a translation of the other.
+    """
+
+    lp_name: str
+    af_name: str
+    lp_cli: str
+    af_cli: str
+    models: Callable[[Program, int], list[Interpretation]]
+    labellings: Callable[[Setaf, int], list[Labelling]]
+
+    @property
+    def title(self) -> str:
+        return f"{self.lp_name} vs {self.af_name}"
+
+
+# The engines are looked up when a row is used, not when the table is
+# built, so a replaced module attribute (a test double, a tracing wrapper)
+# is what runs. The first row is the base pair; the other four are the
+# selected semantics of theorems 4 and 7.
+PAIRS = (
+    SemanticsPair("partial-stable", "complete", "pstable", "complete",
+                  lambda p, n: partial_stable_models(p, n),
+                  lambda s, n: complete_labellings(s, n)),
+    SemanticsPair("well-founded", "grounded", "wf", "grounded",
+                  lambda p, n: [well_founded_model(p, n)],
+                  lambda s, n: [grounded(s, n)]),
+    SemanticsPair("regular", "preferred", "regular", "preferred",
+                  lambda p, n: regular_models(p, n),
+                  lambda s, n: preferred(s, n)),
+    SemanticsPair("stable", "stable", "stable", "stable",
+                  lambda p, n: stable_models(p, n),
+                  lambda s, n: stable(s, n)),
+    SemanticsPair("l-stable", "semi-stable", "lstable", "semistable",
+                  lambda p, n: l_stable_models(p, n),
+                  lambda s, n: semi_stable(s, n)),
+)
+
+
 # --- the five-row equivalence report -----------------------------------------
 
 
@@ -118,20 +167,10 @@ def check_equivalence(
     semantics of its SETAF, map each side across, and report set equality
     per semantics pair."""
     s = nlp_to_setaf(p, max_statements)
-    pairs = [
-        ("partial-stable", "complete",
-         partial_stable_models(p, max_atoms), complete_labellings(s, max_atoms)),
-        ("well-founded", "grounded",
-         [well_founded_model(p, max_atoms)], [grounded(s, max_atoms)]),
-        ("regular", "preferred",
-         regular_models(p, max_atoms), preferred(s, max_atoms)),
-        ("stable", "stable",
-         stable_models(p, max_atoms), stable(s, max_atoms)),
-        ("l-stable", "semi-stable",
-         l_stable_models(p, max_atoms), semi_stable(s, max_atoms)),
-    ]
     rows = []
-    for lp_name, af_name, models, labellings in pairs:
+    for pair in PAIRS:
+        models = pair.models(p, max_atoms)
+        labellings = pair.labellings(s, max_atoms)
         model_set = set(models)
         mapped_labs = {l2i_p(p, l, max_statements) for l in labellings}
         lab_set = set(labellings)
@@ -141,16 +180,16 @@ def check_equivalence(
             diff = (mapped_labs ^ model_set)
             witness = sorted(diff, key=Interpretation.sort_key)[0]
             side = "labelling side" if witness in mapped_labs else "program side"
-            counterexample = f"{witness} only on the {side} ({lp_name})"
+            counterexample = f"{witness} only on the {side} ({pair.lp_name})"
         elif mapped_models != lab_set:
             diff = (mapped_models ^ lab_set)
             witness = sorted(diff, key=Labelling.sort_key)[0]
             side = "program side" if witness in mapped_models else "labelling side"
-            counterexample = f"{witness} only on the {side} ({af_name})"
+            counterexample = f"{witness} only on the {side} ({pair.af_name})"
         rows.append(
             EquivalenceRow(
-                lp_name,
-                af_name,
+                pair.lp_name,
+                pair.af_name,
                 tuple(models),
                 tuple(labellings),
                 counterexample is None,

@@ -242,11 +242,6 @@ class PositiveProgram:
 # --- the operator family ----------------------------------------------------
 
 
-def herbrand_base(p: Program) -> frozenset[str]:
-    """The atom universe the semantics ranges over."""
-    return p.universe
-
-
 def _check_domain(i: Interpretation, universe: frozenset[str], what: str = "interpretation"):
     stray = (i.true | i.false) - universe
     if stray:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from .correspond import check_equivalence, i2l_af, i2l_p, l2i_af, l2i_p
+from .correspond import PAIRS, SemanticsPair, check_equivalence, i2l_af, i2l_p, l2i_af, l2i_p
 from .errors import CapExceeded, InputError, StepCapExceeded
 from .programs import (
     DEFAULT_ATOM_CAP,
@@ -35,25 +35,12 @@ from .programs import (
     _IndexedProgram,
     _reduct_sweep,
     _three_valued,
-    l_stable_models,
     least_model,
     narrow_universe,
     omega,
     partial_stable_models,
-    regular_models,
-    stable_models,
-    well_founded_model,
 )
-from .setafs import (
-    Labelling,
-    Setaf,
-    complete_labellings,
-    grounded,
-    minimize_attacks,
-    preferred,
-    semi_stable,
-    stable,
-)
+from .setafs import Labelling, Setaf, complete_labellings, minimize_attacks
 from .textio import print_interpretation, print_labelling
 from .transform import (
     DEFAULT_STEP_CAP,
@@ -70,10 +57,10 @@ from .translate import (
     DEFAULT_STATEMENT_CAP,
     arguments,
     is_rfalp,
+    minimal_vulnerabilities,
     nlp_to_setaf,
     rfalp_violations,
     setaf_to_nlp,
-    vulnerability_pairs,
 )
 
 # --- generators ---------------------------------------------------------------
@@ -298,60 +285,21 @@ def _t3(p: Program, caps: Caps) -> Verdict:
     return _pass("theorem-3")
 
 
-_LP_SEL = {
-    "1": lambda p, c: [well_founded_model(p, c.max_atoms)],
-    "2": lambda p, c: regular_models(p, c.max_atoms),
-    "3": lambda p, c: stable_models(p, c.max_atoms),
-    "4": lambda p, c: l_stable_models(p, c.max_atoms),
-}
-_AF_SEL = {
-    "1": lambda s, c: [grounded(s, c.max_atoms)],
-    "2": lambda s, c: preferred(s, c.max_atoms),
-    "3": lambda s, c: stable(s, c.max_atoms),
-    "4": lambda s, c: semi_stable(s, c.max_atoms),
-}
-_ITEM_NAMES = {
-    "1": "well-founded vs grounded",
-    "2": "regular vs preferred",
-    "3": "stable vs stable",
-    "4": "l-stable vs semi-stable",
-}
+# The four selected semantics pairs of theorems 4 and 7 (and corollaries 3-5).
+_SELECTED = PAIRS[1:]
 
 
-def _theorem4_item(p: Program, caps: Caps, item: str) -> str | None:
+def _theorem4_item(p: Program, caps: Caps, pair: SemanticsPair) -> str | None:
     s = nlp_to_setaf(p, caps.max_statements)
-    models = _LP_SEL[item](p, caps)
-    labs = _AF_SEL[item](s, caps)
+    models = pair.models(p, caps.max_atoms)
+    labs = pair.labellings(s, caps.max_atoms)
     mapped = {i2l_p(p, m, caps.max_statements) for m in models}
     if mapped != set(labs):
-        return f"{_ITEM_NAMES[item]}: models map to {sorted(map(print_labelling, mapped))}, labellings are {sorted(map(print_labelling, labs))}"
+        return f"{pair.title}: models map to {sorted(map(print_labelling, mapped))}, labellings are {sorted(map(print_labelling, labs))}"
     back = {l2i_p(p, l, caps.max_statements) for l in labs}
     if back != set(models):
-        return f"{_ITEM_NAMES[item]}: labellings map back to a different model set"
+        return f"{pair.title}: labellings map back to a different model set"
     return None
-
-
-def _register_theorem4():
-    for item in "1234":
-        name = f"theorem-4.{item}"
-
-        def run(p: Program, caps: Caps, _item=item, _name=name) -> Verdict:
-            ce = _theorem4_item(p, caps, _item)
-            return _fail(_name, ce) if ce else _pass(_name)
-
-        _suite(name, "lp", f"{_ITEM_NAMES[item]} correspondence")(run)
-
-    def run_all(p: Program, caps: Caps) -> Verdict:
-        for item in "1234":
-            ce = _theorem4_item(p, caps, item)
-            if ce:
-                return _fail("theorem-4", ce)
-        return _pass("theorem-4")
-
-    _suite("theorem-4", "lp", "the four selected semantics correspond pairwise")(run_all)
-
-
-_register_theorem4()
 
 
 @_suite("corollary-2", "lp", "the five-row equivalence report holds in both directions")
@@ -416,51 +364,52 @@ def _t6(s: Setaf, caps: Caps) -> Verdict:
     return _pass("theorem-6")
 
 
-def _theorem7_item(s: Setaf, caps: Caps, item: str) -> str | None:
+def _theorem7_item(s: Setaf, caps: Caps, pair: SemanticsPair) -> str | None:
     p2 = setaf_to_nlp(s)
-    labs = _AF_SEL[item](s, caps)
-    models = _LP_SEL[item](p2, caps)
+    labs = pair.labellings(s, caps.max_atoms)
+    models = pair.models(p2, caps.max_atoms)
     mapped = {l2i_af(l) for l in labs}
     if mapped != set(models):
-        return f"{_ITEM_NAMES[item]}: labellings map to a different model set"
+        return f"{pair.title}: labellings map to a different model set"
     back = {i2l_af(m, s.arguments) for m in models}
     if back != set(labs):
-        return f"{_ITEM_NAMES[item]}: models map back to a different labelling set"
+        return f"{pair.title}: models map back to a different labelling set"
     return None
 
 
-def _register_theorem7():
-    for item in "1234":
-        name = f"theorem-7.{item}"
+def _register_items(theorem: str, kind: str, item: Callable, side: str):
+    """theorem-N.1 .. theorem-N.4, one per selected pair, and theorem-N,
+    which fails with the first failing pair."""
+    for number, pair in enumerate(_SELECTED, 1):
+        name = f"{theorem}.{number}"
 
-        def run(s: Setaf, caps: Caps, _item=item, _name=name) -> Verdict:
-            ce = _theorem7_item(s, caps, _item)
+        def run(instance, caps: Caps, _pair=pair, _name=name) -> Verdict:
+            ce = item(instance, caps, _pair)
             return _fail(_name, ce) if ce else _pass(_name)
 
-        _suite(name, "setaf", f"{_ITEM_NAMES[item]} correspondence, SETAF side")(run)
+        _suite(name, kind, f"{pair.title} correspondence{side}")(run)
 
-    def run_all(s: Setaf, caps: Caps) -> Verdict:
-        for item in "1234":
-            ce = _theorem7_item(s, caps, item)
+    def run_all(instance, caps: Caps) -> Verdict:
+        for pair in _SELECTED:
+            ce = item(instance, caps, pair)
             if ce:
-                return _fail("theorem-7", ce)
-        return _pass("theorem-7")
+                return _fail(theorem, ce)
+        return _pass(theorem)
 
-    _suite("theorem-7", "setaf", "the four selected semantics correspond pairwise, SETAF side")(run_all)
+    _suite(theorem, kind, f"the four selected semantics correspond pairwise{side}")(run_all)
 
 
-_register_theorem7()
+_register_items("theorem-4", "lp", _theorem4_item, "")
+_register_items("theorem-7", "setaf", _theorem7_item, ", SETAF side")
 
 
 @_suite("corollary-3", "setaf", "SETAF-side correspondences hold in the reverse direction too")
 def _c3(s: Setaf, caps: Caps) -> Verdict:
     p2 = setaf_to_nlp(s)
-    classes = [
-        ("complete", complete_labellings(s, caps.max_atoms), partial_stable_models(p2, caps.max_atoms)),
-    ]
-    for item in "1234":
-        classes.append((_ITEM_NAMES[item], _AF_SEL[item](s, caps), _LP_SEL[item](p2, caps)))
-    for label, labs, models in classes:
+    for pair in PAIRS:
+        label = pair.af_name if pair is PAIRS[0] else pair.title
+        labs = pair.labellings(s, caps.max_atoms)
+        models = pair.models(p2, caps.max_atoms)
         if {i2l_af(m, s.arguments) for m in models} != set(labs):
             return _fail("corollary-3", f"{label}: model class maps to a different labelling class")
         if {l2i_af(l) for l in labs} != set(models):
@@ -667,16 +616,17 @@ def _l1(p: Program, caps: Caps) -> Verdict:
     """Under every interpretation I, omega(p, I) makes an atom true exactly
     when some statement for it has every vulnerability false in I, and false
     exactly when every statement for it has a vulnerability true in I. Both
-    conditions are monotone in the vulnerability sets, so they read the
-    translation's deduplicated (conclusion, vulnerability set) pairs, whose
-    extra sets contain some statement's, instead of the statements, which
+    conditions are monotone in the vulnerability sets, so they read each
+    atom's minimal vulnerability sets instead of the statements, which
     differ by the rules they use and can be far more. omega's images come
     from the bitmask sweep; the first interpretation that disagrees is the
     counterexample."""
-    pairs = vulnerability_pairs(p, caps.max_statements)
+    family = minimal_vulnerabilities(p, caps.max_statements)
     _guard_enum(len(p.universe), caps)
     ip = _IndexedProgram(p)
-    fronts = {(1 << ip.index[conc], ip.mask(vul)) for conc, vul in pairs}
+    fronts = [
+        (1 << ip.index[conc], ip.mask(vul)) for conc, vuls in family.items() for vul in vuls
+    ]
     for t, f, wt, wf in _reduct_sweep(ip):
         expect_true = unrefuted = 0
         for conc, vul in fronts:
@@ -708,11 +658,9 @@ def _p1(s: Setaf, caps: Caps) -> Verdict:
 @_suite("corollary-4", "lp", "normalization preserves the four selected semantics")
 def _c4(p: Program, caps: Caps) -> Verdict:
     result, _ = _norm(p, LEX, caps.max_steps)
-    for item in "1234":
-        before = _LP_SEL[item](p, caps)
-        after = _LP_SEL[item](result, caps)
-        if before != after:
-            return _fail("corollary-4", f"{_ITEM_NAMES[item].split(' vs ')[0]} models changed")
+    for pair in _SELECTED:
+        if pair.models(p, caps.max_atoms) != pair.models(result, caps.max_atoms):
+            return _fail("corollary-4", f"{pair.lp_name} models changed")
     return _pass("corollary-4")
 
 
@@ -724,9 +672,9 @@ def _c5(p: Program, caps: Caps) -> Verdict:
         return _fail("corollary-5", "witness is not an RFALP: " + "; ".join(problems))
     if partial_stable_models(result, caps.max_atoms) != partial_stable_models(p, caps.max_atoms):
         return _fail("corollary-5", "witness has different partial stable models")
-    for item in "1234":
-        if _LP_SEL[item](result, caps) != _LP_SEL[item](p, caps):
-            return _fail("corollary-5", f"witness differs on {_ITEM_NAMES[item].split(' vs ')[0]}")
+    for pair in _SELECTED:
+        if pair.models(result, caps.max_atoms) != pair.models(p, caps.max_atoms):
+            return _fail("corollary-5", f"witness differs on {pair.lp_name}")
     return _pass("corollary-5")
 
 

@@ -33,9 +33,11 @@ from .errors import BlowupCap
 from .programs import Program, Rule
 from .setafs import Attack, Setaf
 
-#: Translation work is worst-case exponential in the program size; fail
-#: loudly past this many candidate sets formed by minimal_vulnerabilities
-#: (or combinations tried by statements) rather than hang.
+#: Translation work is worst-case exponential in the program size, so it
+#: fails loudly (BlowupCap) rather than hang: minimal_vulnerabilities past
+#: this many candidate sets formed, which bounds nlp_to_setaf, arguments
+#: and the suites that read them, and statements past this many
+#: combinations tried. The --max-statements default of translate and check.
 DEFAULT_STATEMENT_CAP = 100_000
 
 
@@ -76,9 +78,9 @@ def statements(p: Program, max_statements: int = DEFAULT_STATEMENT_CAP) -> froze
     Raises BlowupCap once more than *max_statements* combinations of child
     statements have been tried, however few distinct statements they gave.
 
-    Cached for the last 16 programs: programs are immutable and the
-    callers (vul_family, the statement-reading suites) ask for the same
-    program repeatedly, one program at a time.
+    Cached for the last 16 programs: programs are immutable and callers
+    that explain a translation (vul_family, then the statements
+    themselves) ask for the same program repeatedly, one at a time.
     """
     found: set[Statement] = set()
     by_conc: dict[str, list[Statement]] = {}
@@ -203,72 +205,6 @@ def vul_family(p: Program, max_statements: int = DEFAULT_STATEMENT_CAP) -> dict[
     for s in statements(p, max_statements):
         fam.setdefault(s.conc, set()).add(s.vul)
     return {c: frozenset(vuls) for c, vuls in fam.items()}
-
-
-def vulnerability_pairs(
-    p: Program, max_statements: int = DEFAULT_STATEMENT_CAP
-) -> frozenset[tuple[str, frozenset[str]]]:
-    """Each (conclusion, vulnerability set) pair of a derivation of p, once.
-
-    The closure of the rules over sets: a rule with positive body
-    {b1..bk} and sets v1..vk found for b1..bk gives neg(r) | v1 | ... | vk
-    for its head. Unlike statements, a derivation here may use a rule again
-    below itself, so the closure needs no record of the rules used and
-    stays within |universe| * 2^|universe| pairs. It holds every
-    statement's (conc, vul), and each further set contains some
-    statement's set for the same conclusion: cutting a derivation back to
-    the lower use of a repeated rule only drops vulnerabilities. Nothing is
-    minimized, and minimal_vulnerabilities is not consulted.
-
-    Semi-naive worklist: an atom's sets not yet passed on are joined, as
-    one batch, with the sets already found for the other body atoms of
-    every rule they feed, so every combination is formed when the batch
-    holding its last set comes off the worklist. Raises BlowupCap once more
-    than *max_statements* candidate sets have been formed.
-    """
-    atoms = sorted(p.universe)
-    bit = {a: 1 << i for i, a in enumerate(atoms)}
-    found: dict[str, set[int]] = {a: set() for a in atoms}
-    fresh: dict[str, set[int]] = {}  # found, but not yet passed on; in worklist order
-    watchers: dict[str, list[tuple[str, list[str], int]]] = {}
-    formed = 0
-
-    def form(count: int):
-        nonlocal formed
-        formed += count
-        if formed > max_statements:
-            raise BlowupCap(
-                f"vulnerability enumeration formed more than {max_statements} "
-                "candidate sets; raise the cap if this program really is that tangled"
-            )
-
-    def add(head: str, vuls: set[int]):
-        new = vuls - found[head]
-        found[head] |= new
-        if new:
-            fresh.setdefault(head, set()).update(new)
-
-    for r in p.sorted_rules():
-        neg = sum(bit[b] for b in r.body_neg)
-        if r.body_pos:
-            for b in r.body_pos:
-                watchers.setdefault(b, []).append((r.head, sorted(r.body_pos - {b}), neg))
-        else:
-            form(1)
-            add(r.head, {neg})
-    while fresh:
-        atom = next(iter(fresh))
-        batch = fresh.pop(atom)
-        for head, others, neg in watchers.get(atom, ()):
-            form(len(batch))
-            cands = {neg | v for v in batch}
-            for b in sorted(others, key=lambda b: len(found[b])):
-                form(len(cands) * len(found[b]))
-                cands = {c | v for c in cands for v in found[b]}
-            add(head, cands)
-    return frozenset(
-        (a, frozenset(x for x in atoms if bit[x] & v)) for a, vs in found.items() for v in vs
-    )
 
 
 def _minimal_sets(sets: Iterable[frozenset[str]]) -> set[frozenset[str]]:

@@ -180,6 +180,17 @@ def test_check_lemma_1_on_a_program_with_many_statements(capsys, tmp_path):
     assert "lemma-1" in out and "failed=0" in out.splitlines()[-1]
 
 
+def test_check_lemma_1_on_a_program_with_wide_positive_bodies(capsys, tmp_path):
+    # With 4-atom positive bodies, every (conclusion, vulnerability set)
+    # pair of this program takes over 100 000 candidate sets to form;
+    # lemma-1 reads only the minimal sets, which take far fewer.
+    f = tmp_path / "wide.lp"
+    f.write_text(print_program(gen_program(GenConfig(7, 20, max_body_pos=4, seed=24115))))
+    code, out, _ = run(capsys, "check", str(f), "--theorems", "all")
+    assert code == 0
+    assert "suite lemma-1: pass" in out and "failed=0" in out.splitlines()[-1]
+
+
 def test_check_single_group(capsys):
     code, out, _ = run(capsys, "check", FIG1, "--theorems", "inverse")
     assert code == 0

@@ -12,7 +12,6 @@ from setaflp.programs import (
     Program,
     Rule,
     all_interpretations,
-    herbrand_base,
     l_stable_models,
     least_model,
     narrow_universe,
@@ -85,7 +84,6 @@ def test_rule_rejects_bad_atoms():
 def test_program_universe_defaults_to_occurring_atoms():
     p = Program([rule("a", neg="b")])
     assert p.universe == frozenset("ab")
-    assert herbrand_base(p) == frozenset("ab")
 
 
 def test_program_universe_may_be_wider_but_not_narrower():

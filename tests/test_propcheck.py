@@ -210,9 +210,7 @@ def reference_corollary_1(p, caps=Caps()):
 
 
 def reference_lemma_1(p, caps=Caps()):
-    by_conc = {}
-    for conc, vul in propcheck.vulnerability_pairs(p, caps.max_statements):
-        by_conc.setdefault(conc, []).append(vul)
+    by_conc = propcheck.minimal_vulnerabilities(p, caps.max_statements)
     for i in all_interpretations(p.universe):
         w = propcheck.omega(p, i)
         expect_true = {c for c, vuls in by_conc.items() if any(v <= i.false for v in vuls)}
@@ -268,16 +266,20 @@ def test_bitmask_suites_match_the_reference_sweeps():
 
 
 def test_lemma_1_counterexamples_match_the_reference_sweep(monkeypatch):
-    """With one (conclusion, vulnerability set) pair per program withheld,
-    both sweeps stop at the same first interpretation and print the same
+    """With one minimal vulnerability set per program withheld, both sweeps
+    stop at the same first interpretation and print the same
     counterexample."""
-    real = propcheck.vulnerability_pairs
+    real = propcheck.minimal_vulnerabilities
 
     def one_withheld(p, max_statements):
-        found = sorted(real(p, max_statements), key=lambda cv: (cv[0], sorted(cv[1])))
-        return frozenset(found[1:])
+        family = real(p, max_statements)
+        pairs = [(c, v) for c, vs in family.items() for v in vs]
+        if not pairs:
+            return family
+        conc, vul = min(pairs, key=lambda cv: (cv[0], sorted(cv[1])))
+        return {**family, conc: family[conc] - {vul}}
 
-    monkeypatch.setattr(propcheck, "vulnerability_pairs", one_withheld)
+    monkeypatch.setattr(propcheck, "minimal_vulnerabilities", one_withheld)
     failed = 0
     for p in _small_programs():
         verdict = run_suite("lemma-1", p)

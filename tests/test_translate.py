@@ -20,7 +20,6 @@ from setaflp.translate import (
     setaf_to_nlp,
     statements,
     vul_family,
-    vulnerability_pairs,
 )
 
 R1 = rule("a")
@@ -282,48 +281,13 @@ def test_fixpoint_matches_statements(p):
     assert_matches_statement_path(p)
 
 
-def assert_pairs_bracket_the_statements(p):
-    """vulnerability_pairs holds every statement's (conclusion,
-    vulnerability set) pair, and each further set contains some
-    statement's set for the same conclusion."""
-    pairs = vulnerability_pairs(p)
-    exact = {(s.conc, s.vul) for s in statements(p)}
-    assert exact <= pairs
-    for conc, vul in pairs - exact:
-        assert any(c == conc and v <= vul for c, v in exact), (conc, vul)
-
-
-@pytest.mark.parametrize("max_body_pos", [2, 3])
-def test_vulnerability_pairs_bracket_the_statements_on_seeded_programs(max_body_pos):
-    for seed in range(100):
-        for atoms, rules in ((4, 6), (5, 9), (6, 11)):
-            cfg = GenConfig(atoms, rules, max_body_pos=max_body_pos, seed=seed)
-            assert_pairs_bracket_the_statements(gen_program(cfg))
-
-
-@given(programs_st())
-@settings(max_examples=150)
-def test_vulnerability_pairs_bracket_the_statements(p):
-    assert_pairs_bracket_the_statements(p)
-
-
-def test_vulnerability_pairs_where_statements_blow_up():
+def test_minimal_vulnerabilities_where_statements_blow_up():
     # Ten rules over three atoms: statements() tries more than 100 000
-    # combinations of sub-statements.
+    # combinations of sub-statements, the fixpoint forms few sets.
     p = gen_program(GenConfig(3, 12, max_body_pos=3, seed=3012))
     with pytest.raises(BlowupCap):
         statements(p)
-    pairs = vulnerability_pairs(p, max_statements=1000)
-    by_conc = {}
-    for c, v in pairs:
-        by_conc.setdefault(c, set()).add(v)
-    assert {c: minimal_members(vs) for c, vs in by_conc.items()} == minimal_vulnerabilities(p)
-    assert by_conc["a"] == {frozenset(), frozenset("ac"), frozenset("abc")}
-
-
-def test_vulnerability_pairs_cap():
-    with pytest.raises(BlowupCap):
-        vulnerability_pairs(WIDE_JOIN, max_statements=100)
+    assert minimal_vulnerabilities(p, max_statements=1000)["a"] == {frozenset()}
 
 
 def test_wide_program_translates_fast():
