@@ -120,8 +120,8 @@ PAIRS = (
                   lambda p, n: partial_stable_models(p, n),
                   lambda s, n: complete_labellings(s, n)),
     SemanticsPair("well-founded", "grounded", "wf", "grounded",
-                  lambda p, n: [well_founded_model(p, n)],
-                  lambda s, n: [grounded(s, n)]),
+                  lambda p, n: [well_founded_model(p)],
+                  lambda s, n: [grounded(s)]),
     SemanticsPair("regular", "preferred", "regular", "preferred",
                   lambda p, n: regular_models(p, n),
                   lambda s, n: preferred(s, n)),
@@ -177,13 +177,11 @@ def check_equivalence(
         mapped_models = {i2l_p(p, m, max_statements) for m in models}
         counterexample = None
         if mapped_labs != model_set:
-            diff = (mapped_labs ^ model_set)
-            witness = sorted(diff, key=Interpretation.sort_key)[0]
+            witness = min(mapped_labs ^ model_set, key=Interpretation.sort_key)
             side = "labelling side" if witness in mapped_labs else "program side"
             counterexample = f"{witness} only on the {side} ({pair.lp_name})"
         elif mapped_models != lab_set:
-            diff = (mapped_models ^ lab_set)
-            witness = sorted(diff, key=Labelling.sort_key)[0]
+            witness = min(mapped_models ^ lab_set, key=Labelling.sort_key)
             side = "program side" if witness in mapped_models else "labelling side"
             counterexample = f"{witness} only on the {side} ({pair.af_name})"
         rows.append(

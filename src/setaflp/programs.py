@@ -5,8 +5,9 @@ explicit universe of atoms. Interpretations are three-valued: atoms are true,
 false, or undefined. The semantics implemented here all derive from one
 operator: omega(P, I) takes the reduct of P by I (a positive program that may
 mention a special *undefined* constant) and returns its least three-valued
-model. Fixpoints of omega are the partial stable models; the well-founded,
-regular, (total) stable and L-stable models are selections among them.
+model. Fixpoints of omega are the partial stable models: the well-founded
+model is the least one, and the regular, (total) stable and L-stable models
+are selections among them.
 
 The reduct replaces each negated literal ``not b`` by: nothing if b is false
 in I, the undefined constant if b is undefined in I; rules with a negated
@@ -25,7 +26,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import CapExceeded, DomainMismatch, InputError, InternalInvariantViolation
 
@@ -442,25 +443,29 @@ def partial_stable_models(p: Program, max_atoms: int = DEFAULT_ATOM_CAP) -> list
     return list(_psm_cached(p, max_atoms))
 
 
-# --- selections among the partial stable models ------------------------------
+# --- the well-founded model and the selections -------------------------------
 
 
-def well_founded_model(p: Program, max_atoms: int = DEFAULT_ATOM_CAP) -> Interpretation:
-    """The partial stable model with inclusion-least true set. Always exists
-    and is unique; anything else is a bug in this package."""
-    models = partial_stable_models(p, max_atoms)
-    least = [m for m in models if not any(o.true < m.true for o in models)]
-    if len(least) != 1:
-        raise InternalInvariantViolation(
-            f"expected exactly one true-minimal partial stable model, found {len(least)}"
-        )
-    return least[0]
+def well_founded_model(p: Program) -> Interpretation:
+    """The least fixpoint of omega (Van Gelder, Ross & Schlipf 1991). omega
+    is monotone as true and false grow, so iterating it from the everywhere
+    undefined interpretation reaches it within n + 1 steps: no scan, no cap."""
+    ip = _IndexedProgram(p)
+    t = f = 0
+    while (step := ip.omega_bits(t, f)) != (t, f):
+        t, f = step
+    return Interpretation(ip.unmask(t), ip.unmask(f))
+
+
+def _maximal(family: list, key: Callable) -> list:
+    """The members of *family* whose key no other member's key strictly contains."""
+    keys = [key(m) for m in family]
+    return [m for m, k in zip(family, keys) if not any(k < o for o in keys)]
 
 
 def regular_models(p: Program, max_atoms: int = DEFAULT_ATOM_CAP) -> list[Interpretation]:
     """Partial stable models whose true set is inclusion-maximal."""
-    models = partial_stable_models(p, max_atoms)
-    return [m for m in models if not any(m.true < o.true for o in models)]
+    return _maximal(partial_stable_models(p, max_atoms), lambda m: m.true)
 
 
 def stable_models(p: Program, max_atoms: int = DEFAULT_ATOM_CAP) -> list[Interpretation]:
@@ -470,11 +475,6 @@ def stable_models(p: Program, max_atoms: int = DEFAULT_ATOM_CAP) -> list[Interpr
 
 
 def l_stable_models(p: Program, max_atoms: int = DEFAULT_ATOM_CAP) -> list[Interpretation]:
-    """Partial stable models leaving an inclusion-minimal set of atoms
-    undefined. Coincides with the stable models whenever those exist."""
-    models = partial_stable_models(p, max_atoms)
-    return [
-        m
-        for m in models
-        if not any(m.true | m.false < o.true | o.false for o in models)
-    ]
+    """Partial stable models with inclusion-minimal undefined, so maximal
+    true | false, set. Coincides with the stable models whenever those exist."""
+    return _maximal(partial_stable_models(p, max_atoms), lambda m: m.true | m.false)

@@ -9,8 +9,8 @@ this, which is harmless because non-minimal attacks never change which
 labellings are complete.
 
 A labelling assigns every argument one of in/out/undec. Complete labellings
-are the admissible ones whose undec choices are forced, and the grounded,
-preferred, stable and semi-stable semantics are selections among them.
+are the admissible ones whose undec choices are forced: the grounded one is
+the least, and preferred, stable and semi-stable are selections among them.
 """
 
 from __future__ import annotations
@@ -26,10 +26,9 @@ from .errors import (
     DomainMismatch,
     EmptyAttackSource,
     InputError,
-    InternalInvariantViolation,
     NonMinimalAttack,
 )
-from .programs import DEFAULT_ATOM_CAP, _atom_set, validate_atom
+from .programs import DEFAULT_ATOM_CAP, _atom_set, _maximal, validate_atom
 
 
 @dataclass(frozen=True)
@@ -242,22 +241,24 @@ def complete_labellings(s: Setaf, max_atoms: int = DEFAULT_ATOM_CAP) -> list[Lab
     return list(_complete_cached(s, max_atoms))
 
 
-def grounded(s: Setaf, max_atoms: int = DEFAULT_ATOM_CAP) -> Labelling:
-    """The complete labelling with inclusion-least in set. Unique; a second
-    in-minimal labelling would be a bug here, not bad input."""
-    labs = complete_labellings(s, max_atoms)
-    least = [l for l in labs if not any(o.in_ < l.in_ for o in labs)]
-    if len(least) != 1:
-        raise InternalInvariantViolation(
-            f"expected exactly one in-minimal complete labelling, found {len(least)}"
-        )
-    return least[0]
+def grounded(s: Setaf) -> Labelling:
+    """The least fixpoint of the characteristic function (Nielsen & Parsons
+    2006). From all-undec, an argument goes in once every attacking set has
+    an out member, and out once some attacking set is all in. Both sets only
+    grow, so n + 1 rounds at most reach it: no scan, no cap."""
+    attacked = [(a, s.attackers_of(a)) for a in s.arguments]
+    in_ = out = frozenset()
+    while True:
+        step = (frozenset(a for a, sources in attacked if all(b & out for b in sources)),
+                frozenset(a for a, sources in attacked if any(b <= in_ for b in sources)))
+        if step == (in_, out):
+            return Labelling(in_, out, s.arguments - in_ - out)
+        in_, out = step
 
 
 def preferred(s: Setaf, max_atoms: int = DEFAULT_ATOM_CAP) -> list[Labelling]:
     """Complete labellings with inclusion-maximal in set."""
-    labs = complete_labellings(s, max_atoms)
-    return [l for l in labs if not any(l.in_ < o.in_ for o in labs)]
+    return _maximal(complete_labellings(s, max_atoms), lambda l: l.in_)
 
 
 def stable(s: Setaf, max_atoms: int = DEFAULT_ATOM_CAP) -> list[Labelling]:
@@ -266,6 +267,5 @@ def stable(s: Setaf, max_atoms: int = DEFAULT_ATOM_CAP) -> list[Labelling]:
 
 
 def semi_stable(s: Setaf, max_atoms: int = DEFAULT_ATOM_CAP) -> list[Labelling]:
-    """Complete labellings with inclusion-minimal undec set."""
-    labs = complete_labellings(s, max_atoms)
-    return [l for l in labs if not any(o.undec < l.undec for o in labs)]
+    """Complete labellings with inclusion-minimal undec, so maximal in | out, set."""
+    return _maximal(complete_labellings(s, max_atoms), lambda l: l.in_ | l.out)

@@ -7,7 +7,9 @@ import sys
 from setaflp import propcheck
 from setaflp.cli import main
 from setaflp.propcheck import GenConfig, Suite, Verdict, gen_program, gen_setaf
-from setaflp.textio import print_program, print_setaf
+from setaflp.programs import well_founded_model
+from setaflp.setafs import grounded
+from setaflp.textio import print_interpretation, print_labelling, print_program, print_setaf
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 EX2 = os.path.join(DATA, "ex2.lp")
@@ -84,6 +86,27 @@ def test_labellings_grounded_single_arg(capsys, tmp_path):
     code, out, _ = run(capsys, "labellings", str(f), "--semantics", "grounded")
     assert code == 0
     assert out == "in={a} out={} undec={}\ncount=1\n"
+
+
+def test_wf_and_grounded_are_not_capped(capsys, tmp_path):
+    # The two fixpoints scan nothing, so --max-atoms does not bound them;
+    # under --semantics all the scanned pstable block comes first and hits
+    # the cap.
+    p = gen_program(GenConfig(20, 40, max_body_pos=3, seed=20))
+    lp = tmp_path / "twenty.lp"
+    lp.write_text(print_program(p))
+    code, out, _ = run(capsys, "semantics", str(lp), "--semantics", "wf", "--max-atoms", "4")
+    assert code == 0
+    assert out == print_interpretation(well_founded_model(p), p.universe) + "\ncount=1\n"
+    s = gen_setaf(GenConfig(20, 40, seed=20))
+    af = tmp_path / "twenty.setaf"
+    af.write_text(print_setaf(s))
+    code, out, _ = run(capsys, "labellings", str(af), "--semantics", "grounded", "--max-atoms", "4")
+    assert code == 0
+    assert out == print_labelling(grounded(s)) + "\ncount=1\n"
+    code, out, err = run(capsys, "semantics", str(lp), "--semantics", "all", "--max-atoms", "4")
+    assert (code, out) == (3, "# pstable\n")
+    assert err == "error: universe has 20 atoms, more than the cap of 4\n"
 
 
 def test_translate_program_to_setaf(capsys):
@@ -171,8 +194,8 @@ def test_check_all_reports_the_table(capsys):
 
 def test_check_lemma_1_on_a_program_with_many_statements(capsys, tmp_path):
     # Its statements, which differ by the rules they use, take over 100 000
-    # combinations to enumerate; lemma-1 reads only (conclusion,
-    # vulnerability set) pairs and runs in milliseconds.
+    # combinations to enumerate; lemma-1 reads only each atom's minimal
+    # vulnerability sets and runs in milliseconds.
     f = tmp_path / "tangled.lp"
     f.write_text(print_program(gen_program(GenConfig(3, 12, max_body_pos=3, seed=3012))))
     code, out, _ = run(capsys, "check", str(f), "--theorems", "all")

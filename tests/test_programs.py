@@ -1,5 +1,7 @@
 """Core program machinery: rules, reducts, fixpoints, model families."""
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,7 +26,8 @@ from setaflp.programs import (
     stable_models,
     well_founded_model,
 )
-from setaflp.propcheck import GenConfig, gen_program
+from setaflp.propcheck import GenConfig, gen_program, gen_setaf
+from setaflp.translate import setaf_to_nlp
 
 EX2_RULES = (
     rule("a", neg=["b"]),
@@ -314,3 +317,70 @@ def test_well_founded_is_the_information_minimum(p):
     wf = well_founded_model(p)
     for m in partial_stable_models(p):
         assert wf.true <= m.true and wf.false <= m.false
+
+
+# --- the well-founded fixpoint and the filters against their definitions -------
+
+
+def reference_well_founded(p):
+    """The definition over the family: the partial stable model with
+    inclusion-least true set, of which there is exactly one."""
+    models = partial_stable_models(p)
+    least = [m for m in models if not any(o.true < m.true for o in models)]
+    assert len(least) == 1, f"{len(least)} true-minimal partial stable models"
+    return least[0]
+
+
+def assert_selections_match_their_definitions(p):
+    models = partial_stable_models(p)
+    undefined = {m: m.undefined(p.universe) for m in models}
+    assert well_founded_model(p) == reference_well_founded(p)
+    assert regular_models(p) == [m for m in models if not any(m.true < o.true for o in models)]
+    assert l_stable_models(p) == [
+        m for m in models if not any(undefined[o] < undefined[m] for o in models)
+    ]
+
+
+@given(programs_st())
+@settings(max_examples=150)
+def test_selections_match_their_definitions(p):
+    assert_selections_match_their_definitions(p)
+
+
+@pytest.mark.parametrize("max_body_pos", [2, 3])
+def test_selections_match_their_definitions_on_seeded_programs(max_body_pos):
+    partial_wf = 0
+    for seed in range(200):
+        cfg = GenConfig(
+            1 + seed % 8,
+            2 + seed % 15,
+            max_body_pos=max_body_pos,
+            fact_probability=(0.3, 0.1)[seed % 2],
+            seed=seed,
+        )
+        p = gen_program(cfg)
+        assert_selections_match_their_definitions(p)
+        partial_wf += not well_founded_model(p).is_total(p.universe)
+    # Not vacuous: the fixpoint stops short of a total model on a fair share.
+    assert partial_wf >= 25, partial_wf
+
+
+def test_selections_match_their_definitions_on_programs_of_seeded_setafs():
+    # Random programs seldom have two regular models; the programs of
+    # random SETAFs often do.
+    several_regular = several_l_stable = 0
+    for seed in range(200):
+        p = setaf_to_nlp(gen_setaf(GenConfig(1 + seed % 8, 1 + seed % 12, seed=seed)))
+        assert_selections_match_their_definitions(p)
+        several_regular += len(regular_models(p)) > 1
+        several_l_stable += len(l_stable_models(p)) > 1
+    assert several_regular >= 10 and several_l_stable >= 7, (several_regular, several_l_stable)
+
+
+def test_well_founded_model_has_no_atom_cap():
+    p = gen_program(GenConfig(40, 80, max_body_pos=3, seed=40))
+    start = time.perf_counter()
+    wf = well_founded_model(p)
+    assert time.perf_counter() - start < 1.0
+    assert omega(p, wf) == wf
+    assert wf.true and wf.false

@@ -1,5 +1,7 @@
 """SETAF construction, labellings, and the complete-labelling family."""
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +13,7 @@ from setaflp.errors import (
     InputError,
     NonMinimalAttack,
 )
+from setaflp.propcheck import GenConfig, gen_setaf
 from setaflp.setafs import (
     Attack,
     Labelling,
@@ -172,3 +175,54 @@ def test_grounded_is_the_information_least_complete_labelling(s):
 @settings(max_examples=100)
 def test_stable_labellings_are_the_undec_free_complete_ones(s):
     assert stable(s) == [l for l in complete_labellings(s) if not l.undec]
+
+
+# --- the grounded fixpoint and the filters against their definitions ------------
+
+
+def reference_grounded(s):
+    """The definition over the family: the complete labelling with
+    inclusion-least in set, of which there is exactly one."""
+    labs = complete_labellings(s)
+    least = [l for l in labs if not any(o.in_ < l.in_ for o in labs)]
+    assert len(least) == 1, f"{len(least)} in-minimal complete labellings"
+    return least[0]
+
+
+def assert_selections_match_their_definitions(s):
+    labs = complete_labellings(s)
+    assert grounded(s) == reference_grounded(s)
+    assert preferred(s) == [l for l in labs if not any(l.in_ < o.in_ for o in labs)]
+    assert semi_stable(s) == [l for l in labs if not any(o.undec < l.undec for o in labs)]
+
+
+@given(setafs_st())
+@settings(max_examples=150)
+def test_selections_match_their_definitions(s):
+    assert_selections_match_their_definitions(s)
+
+
+def test_selections_match_their_definitions_on_seeded_setafs():
+    undec_grounded = several_preferred = several_semi_stable = 0
+    for seed in range(400):
+        s = gen_setaf(GenConfig(1 + seed % 8, 1 + seed % 12, seed=seed))
+        assert_selections_match_their_definitions(s)
+        undec_grounded += bool(grounded(s).undec)
+        several_preferred += len(preferred(s)) > 1
+        several_semi_stable += len(semi_stable(s)) > 1
+    # Not vacuous: the fixpoint often stops short, and the filters often
+    # keep more than one labelling.
+    assert undec_grounded >= 150 and several_preferred >= 20 and several_semi_stable >= 15, (
+        undec_grounded,
+        several_preferred,
+        several_semi_stable,
+    )
+
+
+def test_grounded_has_no_argument_cap():
+    s = gen_setaf(GenConfig(40, 80, max_body_pos=3, seed=40))
+    start = time.perf_counter()
+    g = grounded(s)
+    assert time.perf_counter() - start < 1.0
+    assert is_complete(s, g)
+    assert g.in_ and g.out and g.undec
