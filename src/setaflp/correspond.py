@@ -18,6 +18,7 @@ from .programs import (
     DEFAULT_ATOM_CAP,
     Interpretation,
     Program,
+    _check_domain,
     l_stable_models,
     partial_stable_models,
     regular_models,
@@ -47,7 +48,7 @@ def l2i_p(p: Program, l: Labelling, max_statements: int = DEFAULT_STATEMENT_CAP)
     if l.arguments != args:
         raise DomainMismatch(
             "labelling domain is not the argument set; got {"
-            + ",".join(sorted(l.arguments))
+            + ",".join(sorted(map(str, l.arguments)))
             + "} expected {"
             + ",".join(sorted(args))
             + "}"
@@ -58,9 +59,11 @@ def l2i_p(p: Program, l: Labelling, max_statements: int = DEFAULT_STATEMENT_CAP)
 def i2l_p(p: Program, i: Interpretation, max_statements: int = DEFAULT_STATEMENT_CAP) -> Labelling:
     """Interpretation over p.universe -> labelling over arguments(p).
 
-    Restriction: atoms outside the argument set drop out of the labelling
-    domain silently (there is nothing sensible to label them).
+    Restriction: universe atoms outside the argument set drop out of the
+    labelling domain silently (there is nothing sensible to label them).
+    Atoms outside the universe raise DomainMismatch, as in reduct.
     """
+    _check_domain(i, p.universe)
     args = arguments(p, max_statements)
     return Labelling(
         i.true & args,
@@ -81,7 +84,7 @@ def i2l_af(i: Interpretation, args: Iterable[str]) -> Labelling:
     stray = (i.true | i.false) - domain
     if stray:
         raise DomainMismatch(
-            "interpretation mentions non-arguments: " + ", ".join(sorted(stray))
+            "interpretation mentions non-arguments: " + ", ".join(sorted(map(str, stray)))
         )
     return Labelling(i.true, i.false, domain - i.true - i.false)
 

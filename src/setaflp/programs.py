@@ -37,7 +37,10 @@ DEFAULT_ATOM_CAP = 16
 
 
 def validate_atom(name: str) -> str:
-    """Check that *name* is a legal atom; return it unchanged."""
+    """Check that *name* is a legal atom; return it unchanged. The parsers
+    and the Rule, Program, PositiveProgram, Attack and Setaf constructors
+    call it; interpretations, labellings and reduct rules are checked
+    against the universe they are used with instead."""
     if not isinstance(name, str) or not ATOM_RE.match(name) or name == "not":
         raise InputError(f"not a legal atom name: {name!r}")
     return name
@@ -169,20 +172,21 @@ class Interpretation:
     """A consistent three-valued interpretation: disjoint true/false sets.
 
     Atoms in neither set are undefined. The universe is not stored here;
-    operations that need it take it as an argument.
+    operations that need it take it as an argument, and reject atoms
+    outside it (DomainMismatch), so names are not checked here.
     """
 
     true: frozenset[str] = frozenset()
     false: frozenset[str] = frozenset()
 
     def __post_init__(self):
-        object.__setattr__(self, "true", _atom_set(self.true))
-        object.__setattr__(self, "false", _atom_set(self.false))
+        object.__setattr__(self, "true", frozenset(self.true))
+        object.__setattr__(self, "false", frozenset(self.false))
         overlap = self.true & self.false
         if overlap:
             raise InputError(
                 "interpretation is inconsistent, true and false overlap: "
-                + ", ".join(sorted(overlap))
+                + ", ".join(sorted(map(str, overlap)))
             )
 
     def undefined(self, universe: Iterable[str]) -> frozenset[str]:
@@ -213,8 +217,7 @@ class PositiveRule:
     has_undef: bool = False
 
     def __post_init__(self):
-        validate_atom(self.head)
-        object.__setattr__(self, "body", _atom_set(self.body))
+        object.__setattr__(self, "body", frozenset(self.body))
 
     def sort_key(self):
         return (self.head, tuple(sorted(self.body)), self.has_undef)
@@ -247,7 +250,7 @@ def _check_domain(i: Interpretation, universe: frozenset[str], what: str = "inte
     stray = (i.true | i.false) - universe
     if stray:
         raise DomainMismatch(
-            f"{what} mentions atoms outside the universe: " + ", ".join(sorted(stray))
+            f"{what} mentions atoms outside the universe: " + ", ".join(sorted(map(str, stray)))
         )
 
 
@@ -331,7 +334,7 @@ def all_interpretations(universe: Iterable[str]) -> Iterator[Interpretation]:
 #
 # partial_stable_models scans all 3^n candidate interpretations, and the
 # corollary-1 and lemma-1 suites read omega's image of every one of them.
-# Doing that through the reference operators above allocates and validates
+# Doing that through the reference operators above allocates and checks
 # sets per candidate and gets slow around n = 7 when called thousands of
 # times (the property suites do). The scan and the sweep below run the same
 # two fixpoint iterations on bitmasks instead. Tests cross-check omega_bits

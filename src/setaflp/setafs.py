@@ -125,16 +125,18 @@ IN, OUT, UNDEC = "in", "out", "undec"
 
 @dataclass(frozen=True)
 class Labelling:
-    """A total in/out/undec assignment, stored as the three disjoint sets."""
+    """A total in/out/undec assignment, stored as the three disjoint sets.
+    Names are not checked here; operations that take a framework too reject
+    labellings that do not cover exactly its arguments (DomainMismatch)."""
 
     in_: frozenset[str] = frozenset()
     out: frozenset[str] = frozenset()
     undec: frozenset[str] = frozenset()
 
     def __post_init__(self):
-        object.__setattr__(self, "in_", _atom_set(self.in_))
-        object.__setattr__(self, "out", _atom_set(self.out))
-        object.__setattr__(self, "undec", _atom_set(self.undec))
+        object.__setattr__(self, "in_", frozenset(self.in_))
+        object.__setattr__(self, "out", frozenset(self.out))
+        object.__setattr__(self, "undec", frozenset(self.undec))
         if (self.in_ & self.out) or (self.in_ & self.undec) or (self.out & self.undec):
             raise InputError("labelling assigns some argument two labels")
 
@@ -182,7 +184,7 @@ def _check_total(s: Setaf, l: Labelling):
         if missing:
             parts.append("unlabelled: " + ", ".join(sorted(missing)))
         if stray:
-            parts.append("not arguments: " + ", ".join(sorted(stray)))
+            parts.append("not arguments: " + ", ".join(sorted(map(str, stray))))
         raise DomainMismatch("labelling does not match the argument set (" + "; ".join(parts) + ")")
 
 

@@ -7,7 +7,7 @@ Program grammar (one statement per `.`; `%` comments run to end of line):
     head.                        fact
     #universe a, b, c.           adds atoms to the universe
 
-SETAF grammar (one statement per line; `%` comments):
+SETAF grammar (one statement per line; `%` comments run to end of line):
 
     arg a
     att a,d -> c
@@ -21,11 +21,13 @@ spelling `_u` is rejected wherever an atom is expected.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
+from typing import Iterator
 
 from .correspond import EquivalenceReport
 from .errors import InputError
-from .programs import ATOM_RE, Interpretation, Program, Rule
+from .programs import Interpretation, Program, Rule, validate_atom
 from .setafs import Labelling, Setaf, minimize_attacks, validate_setaf
 
 RESERVED_UNDEF = "_u"
@@ -56,71 +58,49 @@ class ReservedAtom(ParseError):
 
 @dataclass(frozen=True)
 class _Token:
-    kind: str  # "word", "punct", "directive", "eof"
+    kind: str  # "word", "punct", "directive", "end"
     text: str
     span: SourceSpan
 
 
-def _tokenize_program(text: str) -> list[_Token]:
-    tokens = []
-    i, line, col, byte = 0, 1, 1, 0
-    n = len(text)
+# One token pattern per format; the named group that matches names the
+# token. .lp words cannot start with a digit. A .setaf line ends in an "end"
+# token whose group is empty, so it sits where the line's content stops,
+# before any `%` comment.
+_LP_TOKENS = re.compile(
+    r"(?P<skip>\s+|%[^\n]*)|(?P<punct>:-|[,.])|(?P<directive>#\w*)|(?P<word>[^\W\d]\w*)"
+)
+_LP_ERRORS = {":": "expected ':-'"}
+_SETAF_TOKENS = re.compile(
+    r"(?P<skip>[^\S\n]+)|(?P<end>)(?:%[^\n]*)?(?:\n|\Z)|(?P<punct>->|,)|(?P<word>\w+)"
+)
 
-    def char_bytes(c: str) -> int:
-        return len(c.encode("utf-8"))
 
-    def advance(count: int):
-        nonlocal i, line, col, byte
-        for _ in range(count):
-            c = text[i]
-            byte += char_bytes(c)
-            if c == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        c = text[i]
-        if c == "%":
-            while i < n and text[i] != "\n":
-                advance(1)
-            continue
-        if c.isspace():
-            advance(1)
-            continue
-        if c in ",.":
-            tokens.append(_Token("punct", c, SourceSpan(line, col, byte, byte + 1)))
-            advance(1)
-            continue
-        if c == ":":
-            if text[i : i + 2] == ":-":
-                tokens.append(_Token("punct", ":-", SourceSpan(line, col, byte, byte + 2)))
-                advance(2)
-                continue
-            raise ParseError("expected ':-'", SourceSpan(line, col, byte, byte + 1))
-        if c == "#":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            span = SourceSpan(line, col, byte, byte + len(word.encode("utf-8")))
-            tokens.append(_Token("directive", word, span))
-            advance(j - i)
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            span = SourceSpan(line, col, byte, byte + len(word.encode("utf-8")))
-            tokens.append(_Token("word", word, span))
-            advance(j - i)
-            continue
-        raise ParseError(f"unexpected character {c!r}", SourceSpan(line, col, byte, byte + char_bytes(c)))
-    tokens.append(_Token("eof", "", SourceSpan(line, col, byte, byte)))
-    return tokens
+def _tokenize(text: str, pattern: re.Pattern, errors: dict[str, str]) -> Iterator[_Token]:
+    """The tokens of *text* under *pattern*, then an "end" token. A token's
+    text and span are its named group's; "skip" yields none. A character no
+    token starts with raises its message in *errors*, or "unexpected
+    character". A generator, so parse_setaf can report a line's errors
+    before it reads the next line."""
+    pos = line_start = byte = 0
+    line = 1
+    while pos < len(text):
+        m = pattern.match(text, pos)
+        if m is None:
+            c = text[pos]
+            span = SourceSpan(line, pos - line_start + 1, byte, byte + len(c.encode("utf-8")))
+            raise ParseError(errors.get(c, f"unexpected character {c!r}"), span)
+        kind, matched = m.lastgroup, m.group()
+        if kind != "skip":
+            word = m.group(kind)
+            end = byte + len(word.encode("utf-8"))
+            yield _Token(kind, word, SourceSpan(line, pos - line_start + 1, byte, end))
+        if "\n" in matched:
+            line += matched.count("\n")
+            line_start = pos + matched.rindex("\n") + 1
+        byte += len(matched.encode("utf-8"))
+        pos = m.end()
+    yield _Token("end", "", SourceSpan(line, pos - line_start + 1, byte, byte))
 
 
 class _Cursor:
@@ -133,7 +113,7 @@ class _Cursor:
 
     def take(self) -> _Token:
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+        if tok.kind != "end":
             self.pos += 1
         return tok
 
@@ -159,18 +139,19 @@ def _check_atom(tok: _Token) -> str:
             f"'{RESERVED_UNDEF}' is the reserved undefined constant and cannot appear in source",
             tok.span,
         )
-    if tok.text == "not" or not ATOM_RE.match(tok.text):
-        raise ParseError(f"not a legal atom name: {tok.text!r}", tok.span)
-    return tok.text
+    try:
+        return validate_atom(tok.text)
+    except InputError as err:
+        raise ParseError(str(err), tok.span) from None
 
 
 def parse_program(text: str) -> Program:
     """Parse .lp text. Duplicate rules and duplicate body literals collapse;
     `#universe` directives extend the universe beyond the occurring atoms."""
-    cur = _Cursor(_tokenize_program(text))
+    cur = _Cursor(list(_tokenize(text, _LP_TOKENS, _LP_ERRORS)))
     rules = set()
     extra_universe = set()
-    while cur.peek().kind != "eof":
+    while cur.peek().kind != "end":
         tok = cur.peek()
         if tok.kind == "directive":
             cur.take()
@@ -215,16 +196,15 @@ def parse_setaf(text: str, minimize: bool = False) -> Setaf:
     *minimize* is set, in which case they are repaired via minimize_attacks."""
     args: set[str] = set()
     attacks: list[tuple[frozenset[str], str]] = []
-    byte = 0
-    for lineno, raw in enumerate(text.split("\n"), 1):
-        line_start = byte
-        byte += len(raw.encode("utf-8")) + 1
-        content = raw.split("%", 1)[0]
-        if not content.strip():
+    statement: list[_Token] = []
+    for tok in _tokenize(text, _SETAF_TOKENS, {}):
+        statement.append(tok)
+        if tok.kind != "end":
             continue
-        toks = _tokenize_setaf_line(content, lineno, line_start)
-        cur = _Cursor(toks)
+        cur, statement = _Cursor(statement), []
         kw = cur.take()
+        if kw.kind == "end":
+            continue  # a blank or comment-only line
         if kw.kind == "word" and kw.text == "arg":
             args.add(_expect_atom(cur))
         elif kw.kind == "word" and kw.text == "att":
@@ -238,56 +218,13 @@ def parse_setaf(text: str, minimize: bool = False) -> Setaf:
                 raise ParseError(f"expected '->', found {shown!r}", arrow.span)
             attacks.append((frozenset(sources), _expect_atom(cur)))
         else:
-            shown = kw.text or "end of line"
-            raise ParseError(f"expected 'arg' or 'att', found {shown!r}", kw.span)
+            raise ParseError(f"expected 'arg' or 'att', found {kw.text!r}", kw.span)
         trailing = cur.take()
-        if trailing.kind != "eof":
+        if trailing.kind != "end":
             raise ParseError(f"unexpected trailing input {trailing.text!r}", trailing.span)
     if minimize:
         return minimize_attacks(attacks, args)
     return validate_setaf(args, attacks)
-
-
-def _tokenize_setaf_line(content: str, lineno: int, line_start: int) -> list[_Token]:
-    tokens = []
-    i, col, byte = 0, 1, line_start
-    n = len(content)
-    while i < n:
-        c = content[i]
-        if c.isspace():
-            byte += len(c.encode("utf-8"))
-            i += 1
-            col += 1
-            continue
-        if c == ",":
-            tokens.append(_Token("punct", ",", SourceSpan(lineno, col, byte, byte + 1)))
-            i += 1
-            col += 1
-            byte += 1
-            continue
-        if content[i : i + 2] == "->":
-            tokens.append(_Token("punct", "->", SourceSpan(lineno, col, byte, byte + 2)))
-            i += 2
-            col += 2
-            byte += 2
-            continue
-        if c.isalnum() or c == "_":
-            j = i
-            while j < n and (content[j].isalnum() or content[j] == "_"):
-                j += 1
-            word = content[i:j]
-            nbytes = len(word.encode("utf-8"))
-            tokens.append(_Token("word", word, SourceSpan(lineno, col, byte, byte + nbytes)))
-            col += j - i
-            byte += nbytes
-            i = j
-            continue
-        raise ParseError(
-            f"unexpected character {c!r}",
-            SourceSpan(lineno, col, byte, byte + len(c.encode("utf-8"))),
-        )
-    tokens.append(_Token("eof", "", SourceSpan(lineno, col, byte, byte)))
-    return tokens
 
 
 # --- printers ----------------------------------------------------------------

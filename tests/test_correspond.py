@@ -64,6 +64,16 @@ def test_i2l_p_silently_restricts_to_the_arguments():
     assert i2l_p(EX3, interp("", "f")) == lab(undec="abcde")
 
 
+def test_i2l_p_rejects_atoms_outside_the_universe():
+    # f and g are universe atoms but no arguments: dropped. zz is no atom
+    # of EX3 at all: rejected, never silently re-domained.
+    assert i2l_p(EX3, interp("a", "fg")) == lab("a", "", "bcde")
+    with pytest.raises(DomainMismatch):
+        i2l_p(EX3, Interpretation(frozenset(["zz"])))
+    with pytest.raises(DomainMismatch):
+        i2l_p(EX3, Interpretation(frozenset("a"), frozenset(["f", "zz"])))
+
+
 def test_af_mappings_and_domain_checks():
     l3 = lab("b", "ae", "cd")
     assert l2i_af(l3) == interp("b", "ae")

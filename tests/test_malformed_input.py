@@ -44,7 +44,7 @@ CASES = [
     ('lp', ', a.', ParseError, "expected an atom, found ','", 1, 1, 0, 1),
     ('lp', '. a.', ParseError, "expected an atom, found '.'", 1, 1, 0, 1),
     ('lp', 'a. b', ParseError, "expected '.' or ':-', found 'end of input'", 1, 5, 4, 4),
-    ('lp', '²a.', ParseError, "unexpected character '²'", 1, 1, 0, 2),
+    ('lp', '²a.', ParseError, "not a legal atom name: '²a'", 1, 1, 0, 3),
     ('lp', '1a.', ParseError, "unexpected character '1'", 1, 1, 0, 1),
     ('lp', 'a :- 1b.', ParseError, "unexpected character '1'", 1, 6, 5, 6),
     ('lp', '_a.', ParseError, "not a legal atom name: '_a'", 1, 1, 0, 2),

@@ -33,6 +33,12 @@ def test_parse_two_rule_program():
     assert p.universe == frozenset("ab")
 
 
+def test_statements_end_at_periods_not_at_line_ends():
+    expected = Program([rule("a"), rule("b", pos="a"), rule("c", pos="a", neg="b")])
+    assert parse_program("a. b :- a. c :- a, not b.") == expected
+    assert parse_program("a\n.\nb :-\n  a.\nc :- a,\n     not b\n.\n") == expected
+
+
 def test_parse_collapses_duplicates_and_ignores_comments():
     p = parse_program("% header\na :- b, b. % trailing\na :- b.\n")
     assert p.rules == frozenset([rule("a", pos="b")])
