@@ -413,9 +413,10 @@ def _reduct_sweep(ip: _IndexedProgram) -> Iterator[tuple[int, int, int, int]]:
         yield (t, f, *ip.omega_bits(t, f))
 
 
-# Bounded to a few times one check run's working set: the rewrite suites
-# ask for the models of every program one transformation step away.
-@lru_cache(maxsize=256)
+# Bounded to twice one check run's working set or more: the rewrite suites
+# ask for the models of every program one transformation step away, 25
+# programs at most on the inputs of test_cli's cache test.
+@lru_cache(maxsize=64)
 def _psm_cached(p: Program, max_atoms: int) -> tuple[Interpretation, ...]:
     if len(p.universe) > max_atoms:
         raise CapExceeded(
@@ -440,7 +441,7 @@ def partial_stable_models(p: Program, max_atoms: int = DEFAULT_ATOM_CAP) -> list
 
     Scans every consistent interpretation, so it refuses universes larger
     than *max_atoms* (CapExceeded) rather than running for hours. Results
-    are cached for the last 256 programs (everything involved is
+    are cached for the last 64 programs (everything involved is
     immutable); callers get a fresh list each time.
     """
     return list(_psm_cached(p, max_atoms))

@@ -557,7 +557,8 @@ def _t21(p: Program, caps: Caps) -> Verdict:
         _, steps = _norm(p, strategy, caps.max_steps)
         for idx, step in enumerate(steps, 1):
             q = apply(q, step)
-            if nlp_to_setaf(q, caps.max_statements) != target:
+            # Each step's program is translated once: keep it out of the cache.
+            if nlp_to_setaf.__wrapped__(q, caps.max_statements) != target:
                 return _fail("theorem-21", f"{strategy} step {idx} ({step}) changed the SETAF")
     return _pass("theorem-21")
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .correspond import EquivalenceReport
 from .errors import InputError
@@ -80,8 +80,7 @@ def _tokenize(text: str, pattern: re.Pattern, errors: dict[str, str]) -> Iterato
     """The tokens of *text* under *pattern*, then an "end" token. A token's
     text and span are its named group's; "skip" yields none. A character no
     token starts with raises its message in *errors*, or "unexpected
-    character". A generator, so parse_setaf can report a line's errors
-    before it reads the next line."""
+    character". A generator, so the parsers report errors in text order."""
     pos = line_start = byte = 0
     line = 1
     while pos < len(text):
@@ -104,17 +103,24 @@ def _tokenize(text: str, pattern: re.Pattern, errors: dict[str, str]) -> Iterato
 
 
 class _Cursor:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
+    """One token of lookahead over a token stream that ends in an "end"
+    token. A token is read only when the parser asks for it, so a lexical
+    error after a syntax error is never reached: the first error in text
+    order is the one reported."""
+
+    def __init__(self, tokens: Iterable[_Token]):
+        self.tokens = iter(tokens)
+        self.next: _Token | None = None
 
     def peek(self) -> _Token:
-        return self.tokens[self.pos]
+        if self.next is None:
+            self.next = next(self.tokens)
+        return self.next
 
     def take(self) -> _Token:
-        tok = self.tokens[self.pos]
+        tok = self.peek()
         if tok.kind != "end":
-            self.pos += 1
+            self.next = None
         return tok
 
     def expect_punct(self, text: str) -> _Token:
@@ -148,7 +154,7 @@ def _check_atom(tok: _Token) -> str:
 def parse_program(text: str) -> Program:
     """Parse .lp text. Duplicate rules and duplicate body literals collapse;
     `#universe` directives extend the universe beyond the occurring atoms."""
-    cur = _Cursor(list(_tokenize(text, _LP_TOKENS, _LP_ERRORS)))
+    cur = _Cursor(_tokenize(text, _LP_TOKENS, _LP_ERRORS))
     rules = set()
     extra_universe = set()
     while cur.peek().kind != "end":

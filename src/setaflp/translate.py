@@ -125,7 +125,6 @@ def statements(p: Program, max_statements: int = DEFAULT_STATEMENT_CAP) -> froze
     return frozenset(found)
 
 
-@lru_cache(maxsize=256)
 def minimal_vulnerabilities(
     p: Program, max_statements: int = DEFAULT_STATEMENT_CAP
 ) -> Mapping[str, frozenset[frozenset[str]]]:
@@ -143,10 +142,8 @@ def minimal_vulnerabilities(
     Raises BlowupCap once the fixpoint would form more than
     *max_statements* candidate sets.
 
-    Cached for the last 256 programs: the labelling conversions and
-    equivalence checks ask for the same program thousands of times, and
-    theorem-21 translates every program of a normalization trace. The
-    mapping is read-only, as every caller gets the same one.
+    Not cached: arguments and nlp_to_setaf, its repeat callers, cache
+    their own results. The mapping is read-only.
     """
     rules = p.sorted_rules()
     watchers: dict[str, list[int]] = {}
@@ -192,9 +189,13 @@ def minimal_vulnerabilities(
     return MappingProxyType({a: frozenset(vs) for a, vs in found.items()})
 
 
+@lru_cache(maxsize=16)
 def arguments(p: Program, max_statements: int = DEFAULT_STATEMENT_CAP) -> frozenset[str]:
     """Atoms concluded by at least one statement: those with a minimal
-    vulnerability set."""
+    vulnerability set.
+
+    Cached for the last 16 programs: the labelling conversions ask for the
+    arguments of one program once per model or labelling."""
     return frozenset(minimal_vulnerabilities(p, max_statements))
 
 
@@ -254,6 +255,7 @@ def minimal_transversals(family: Iterable[Iterable[str]]) -> frozenset[frozenset
     return frozenset(trans)
 
 
+@lru_cache(maxsize=16)
 def nlp_to_setaf(p: Program, max_statements: int = DEFAULT_STATEMENT_CAP) -> Setaf:
     """The SETAF associated with p.
 
@@ -267,6 +269,10 @@ def nlp_to_setaf(p: Program, max_statements: int = DEFAULT_STATEMENT_CAP) -> Set
     arguments makes its owner unattackable on that front (and if every
     front is like that, a is not attacked at all). Raises BlowupCap as
     minimal_vulnerabilities does.
+
+    Cached for the last 16 programs: nearly every suite of a check run
+    translates the same program again. nlp_to_setaf.__wrapped__ translates
+    without the cache, for programs that are seen once.
     """
     fam = minimal_vulnerabilities(p, max_statements)
     args = frozenset(fam)
@@ -277,10 +283,14 @@ def nlp_to_setaf(p: Program, max_statements: int = DEFAULT_STATEMENT_CAP) -> Set
     return Setaf(args, frozenset(attacks))
 
 
+@lru_cache(maxsize=16)
 def setaf_to_nlp(s: Setaf) -> Program:
     """The program associated with a SETAF: per argument a, one atomic rule
     ``a :- not v1, ..., not vk`` for each minimal transversal of the sources
-    attacking a. Unattacked arguments become facts. Universe = arguments."""
+    attacking a. Unattacked arguments become facts. Universe = arguments.
+
+    Cached for the last 16 SETAFs: every program-side suite run on a SETAF
+    translates it again."""
     rules = set()
     for a in sorted(s.arguments):
         for v in minimal_transversals(s.attackers_of(a)):

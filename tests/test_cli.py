@@ -322,7 +322,7 @@ def test_check_caches_hold_one_instance_with_room_to_spare(capsys, tmp_path):
         path.write_text(text)
         inputs.append(str(path))
     caches = _package_caches()
-    assert len(caches) == 5
+    assert len(caches) == 7
     for path in inputs:
         for cache in caches:
             cache.cache_clear()

@@ -115,6 +115,13 @@ CASES = [
     ('setaf', ', a', ParseError, "expected 'arg' or 'att', found ','", 1, 1, 0, 1),
     ('setaf', '-> a', ParseError, "expected 'arg' or 'att', found '->'", 1, 1, 0, 2),
     ('setaf', 'arg a:', ParseError, "unexpected character ':'", 1, 6, 5, 6),
+    # The first error in text order wins over a bad character further on.
+    ('lp', 'a :- .\n$', ParseError, "expected an atom, found '.'", 1, 6, 5, 6),
+    ('lp', 'a :- b c\n$', ParseError, "expected ',' or '.', found 'c'", 1, 8, 7, 8),
+    ('lp', '#foo.\n$', ParseError, "unknown directive '#foo'", 1, 1, 0, 4),
+    ('lp', 'a :- not .\n:', ParseError, "expected an atom, found '.'", 1, 10, 9, 10),
+    ('lp', 'Big :- $', ParseError, "not a legal atom name: 'Big'", 1, 1, 0, 3),
+    ('lp', 'a\n$', ParseError, "unexpected character '$'", 2, 1, 2, 3),
 ]
 
 

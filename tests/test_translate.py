@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from setaflp.errors import BlowupCap
 from setaflp.programs import Program, rule
-from setaflp.propcheck import GenConfig, gen_program
+from setaflp.propcheck import PASS, Caps, GenConfig, _norm, gen_program, gen_setaf, run_suite
 from setaflp.setafs import Attack, Setaf, validate_setaf
 from setaflp.translate import (
     arguments,
@@ -293,7 +293,48 @@ def test_minimal_vulnerabilities_where_statements_blow_up():
 def test_wide_program_translates_fast():
     # Statement enumeration on this program runs for over a minute.
     p = gen_program(GenConfig(atom_count=8, rule_count=22, max_body_pos=3, seed=8))
-    minimal_vulnerabilities.cache_clear()
+    nlp_to_setaf.cache_clear()
     start = time.perf_counter()
     nlp_to_setaf(p)
     assert time.perf_counter() - start < 1.0
+
+
+TRANSLATE_CACHES = (nlp_to_setaf, setaf_to_nlp, arguments, statements)
+
+
+def test_cached_translations_equal_fresh_ones():
+    """A cache hit, asked with an equal but distinct structure, gives the
+    value a translation without the cache computes."""
+    for k in range(200):
+        n = 1 + k % 7
+        p = gen_program(GenConfig(n, 2 * n, max_body_pos=1 + k % 3, seed=16000 + k))
+        twin = Program(p.rules, p.universe)
+        first = nlp_to_setaf(p)
+        assert nlp_to_setaf(twin) is first
+        assert first == nlp_to_setaf.__wrapped__(p)
+        assert arguments(twin) == arguments.__wrapped__(p) == first.arguments
+
+        s = gen_setaf(GenConfig(n, 2 * n, seed=16500 + k))
+        twin = Setaf(s.arguments, s.attacks)
+        first = setaf_to_nlp(s)
+        assert setaf_to_nlp(twin) is first
+        assert first == setaf_to_nlp.__wrapped__(s)
+
+
+def test_theorem_21_adds_no_cache_entry():
+    """theorem-21 translates each program of a normalization trace once, so
+    it translates them without the cache; only the instance's own SETAF
+    is looked up there."""
+    stepped = 0
+    for k in range(200):
+        n = 2 + k % 6
+        p = gen_program(GenConfig(n, 2 * n, max_body_pos=2, seed=16000 + k))
+        for cache in TRANSLATE_CACHES:
+            cache.cache_clear()
+        nlp_to_setaf(p, Caps().max_statements)
+        before = [cache.cache_info() for cache in TRANSLATE_CACHES]
+        assert run_suite("theorem-21", p).status == PASS
+        after = [cache.cache_info() for cache in TRANSLATE_CACHES]
+        assert [(i.currsize, i.misses) for i in after] == [(i.currsize, i.misses) for i in before]
+        stepped += any(_norm(p, strategy, Caps().max_steps)[1] for strategy in ("lex", "revlex"))
+    assert stepped >= 100
