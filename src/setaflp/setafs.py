@@ -6,7 +6,8 @@ sources jointly attack the target. Attack sources on any one target form an
 antichain (no attack strictly contains another): a Setaf value cannot be
 constructed otherwise. minimize_attacks repairs raw attack lists that break
 this, which is harmless because non-minimal attacks never change which
-labellings are complete.
+labellings are complete. Both share _inclusion_minimal with the
+translation's minimal transversals and vulnerability sets.
 
 A labelling assigns every argument one of in/out/undec. Complete labellings
 are the admissible ones whose undec choices are forced: the grounded one is
@@ -29,6 +30,24 @@ from .errors import (
     NonMinimalAttack,
 )
 from .programs import DEFAULT_ATOM_CAP, _atom_set, _maximal, validate_atom
+
+
+def _inclusion_minimal(family: Iterable[frozenset[str]]) -> tuple[list, list]:
+    """The inclusion-minimal members of *family* (equal ones all kept), and
+    each other member paired with the first kept member inside it. Shortest
+    first, in a stable sort: a set is checked against the shorter kept sets
+    alone, so a family of equal-sized sets costs linear time."""
+    kept, dropped, shorter = [], [], 0
+    for s in sorted(family, key=len):
+        while shorter < len(kept) and len(kept[shorter]) < len(s):
+            shorter += 1
+        for k in kept[:shorter]:
+            if k <= s:
+                dropped.append((s, k))
+                break
+        else:
+            kept.append(s)
+    return kept, dropped
 
 
 @dataclass(frozen=True)
@@ -77,12 +96,11 @@ class Setaf:
                 raise DanglingArgument(
                     f"attack {atk} mentions unknown arguments: " + ", ".join(sorted(stray))
                 )
-        by_target: dict[str, list[frozenset[str]]] = {}
-        for atk in sorted(self.attacks, key=Attack.sort_key):
-            for earlier in by_target.get(atk.target, []):
-                if earlier < atk.source:
-                    raise NonMinimalAttack(atk.target, atk.source, earlier)
-            by_target.setdefault(atk.target, []).append(atk.source)
+        # In Attack.sort_key order: the first non-minimal attack is reported.
+        for target, sources in self._attacker_map.items():
+            dropped = _inclusion_minimal(sources)[1]
+            if dropped:
+                raise NonMinimalAttack(target, *dropped[0])
 
     def sorted_attacks(self) -> list[Attack]:
         return sorted(self.attacks, key=Attack.sort_key)
@@ -108,16 +126,15 @@ def minimize_attacks(attacks: Iterable, arguments: Iterable[str]) -> Setaf:
     """Like validate_setaf, but repairs non-minimality instead of rejecting
     it: any attack whose source strictly contains another source attacking
     the same target is dropped. Idempotent."""
-    normalized = {_as_attack(a) for a in attacks}
     by_target: dict[str, set[frozenset[str]]] = {}
-    for atk in normalized:
+    for atk in {_as_attack(a) for a in attacks}:
         by_target.setdefault(atk.target, set()).add(atk.source)
-    kept = set()
-    for target, sources in by_target.items():
-        for src in sources:
-            if not any(other < src for other in sources):
-                kept.add(Attack(src, target))
-    return Setaf(frozenset(arguments), frozenset(kept))
+    kept = frozenset(
+        Attack(source, target)
+        for target, sources in by_target.items()
+        for source in _inclusion_minimal(sources)[0]
+    )
+    return Setaf(frozenset(arguments), kept)
 
 
 IN, OUT, UNDEC = "in", "out", "undec"

@@ -25,13 +25,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import islice, product
+from itertools import product
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import BlowupCap
 from .programs import Program, Rule
-from .setafs import Attack, Setaf
+from .setafs import Attack, Setaf, _inclusion_minimal
 
 #: Translation work is worst-case exponential in the program size, so it
 #: fails loudly (BlowupCap) rather than hang: minimal_vulnerabilities past
@@ -138,7 +138,8 @@ def minimal_vulnerabilities(
     guard loses no minimal set. The fixpoint exists because every change
     makes some V(a) cover strictly more supersets, and a finite universe
     has finitely many. A worklist re-fires a rule only when V of one of its
-    positive body atoms has changed, and each join is minimized at once.
+    positive body atoms has changed. Each join, and each merge of a rule's
+    sets into V(a), is minimized at once by setafs._inclusion_minimal.
     Raises BlowupCap once the fixpoint would form more than
     *max_statements* candidate sets.
 
@@ -150,13 +151,13 @@ def minimal_vulnerabilities(
     for i, r in enumerate(rules):
         for b in r.body_pos:
             watchers.setdefault(b, []).append(i)
-    found: dict[str, list[frozenset[str]]] = {}
+    found: dict[str, frozenset[frozenset[str]]] = {}
     formed = 0
 
-    def fire(r: Rule) -> set[frozenset[str]]:
+    def fire(r: Rule) -> list[frozenset[str]]:
         nonlocal formed
         formed += 1
-        cands = {r.body_neg}
+        cands = [r.body_neg]
         for b in sorted(r.body_pos, key=lambda b: (len(found[b]), b)):
             formed += len(cands) * len(found[b])
             if formed > max_statements:
@@ -164,16 +165,13 @@ def minimal_vulnerabilities(
                     f"minimal vulnerability fixpoint formed more than {max_statements} "
                     "candidate sets; raise the cap if this program really is that tangled"
                 )
-            cands = _minimal_sets({c | v for c in cands for v in found[b]})
+            cands = _inclusion_minimal({c | v for c in cands for v in found[b]})[0]
         return cands
 
-    def merge(atom: str, cands: set[frozenset[str]]) -> bool:
-        old = found.get(atom, [])
-        new = [c for c in cands if not any(o <= c for o in old)]
-        if not new:
-            return False
-        found[atom] = new + [o for o in old if not any(c < o for c in new)]
-        return True
+    def merge(atom: str, cands: list[frozenset[str]]) -> bool:
+        old = found.get(atom, frozenset())
+        found[atom] = frozenset(_inclusion_minimal(old.union(cands))[0])
+        return found[atom] != old
 
     todo = deque(i for i, r in enumerate(rules) if not r.body_pos)
     queued = set(todo)
@@ -186,7 +184,7 @@ def minimal_vulnerabilities(
                 if j not in queued and rules[j].body_pos <= found.keys():
                     todo.append(j)
                     queued.add(j)
-    return MappingProxyType({a: frozenset(vs) for a, vs in found.items()})
+    return MappingProxyType(found)
 
 
 @lru_cache(maxsize=16)
@@ -208,24 +206,6 @@ def vul_family(p: Program, max_statements: int = DEFAULT_STATEMENT_CAP) -> dict[
     return {c: frozenset(vuls) for c, vuls in fam.items()}
 
 
-def _minimal_sets(sets: Iterable[frozenset[str]]) -> set[frozenset[str]]:
-    """Inclusion-minimal members.
-
-    Shortest first; a set can only be strictly inside a shorter one, so
-    each set is checked against the shorter kept sets alone, and sets of
-    one length never meet (which keeps wide joins of equal-sized sets
-    linear).
-    """
-    kept: list[frozenset[str]] = []
-    shorter = 0
-    for s in sorted(sets, key=len):
-        while shorter < len(kept) and len(kept[shorter]) < len(s):
-            shorter += 1
-        if not any(k <= s for k in islice(kept, shorter)):
-            kept.append(s)
-    return set(kept)
-
-
 def minimal_transversals(family: Iterable[Iterable[str]]) -> frozenset[frozenset[str]]:
     """All inclusion-minimal sets intersecting every member of *family*.
 
@@ -235,23 +215,23 @@ def minimal_transversals(family: Iterable[Iterable[str]]) -> frozenset[frozenset
 
     Incremental construction: fold the members in one at a time, extending
     each partial transversal that misses the new member by each of its
-    elements, pruning non-minimal candidates as we go so the working set
-    stays an antichain.
+    elements, and keep the working set an antichain with
+    setafs._inclusion_minimal after each member.
     """
     fam = sorted(
         {frozenset(v) for v in family}, key=lambda v: (len(v), tuple(sorted(v)))
     )
     if any(not v for v in fam):
         return frozenset()
-    trans: set[frozenset[str]] = {frozenset()}
+    trans = [frozenset()]
     for v in fam:
-        grown: set[frozenset[str]] = set()
+        grown = set()
         for t in trans:
             if t & v:
                 grown.add(t)
             else:
                 grown.update(t | {b} for b in v)
-        trans = _minimal_sets(grown)
+        trans = _inclusion_minimal(grown)[0]
     return frozenset(trans)
 
 

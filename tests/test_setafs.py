@@ -1,6 +1,8 @@
 """SETAF construction, labellings, and the complete-labelling family."""
 
+import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,8 @@ from setaflp.propcheck import GenConfig, gen_setaf
 from setaflp.setafs import (
     Attack,
     Labelling,
+    Setaf,
+    _inclusion_minimal,
     all_labellings,
     complete_labellings,
     grounded,
@@ -161,6 +165,81 @@ def setafs_st(draw):
 def test_minimize_is_idempotent(s):
     again = minimize_attacks([(a.source, a.target) for a in s.attacks], s.arguments)
     assert again == s
+
+
+# --- the one inclusion-minimality routine against its definition ----------------
+
+
+def strictly_minimal(family):
+    """The definition: the members with no other member strictly inside."""
+    return [v for v in family if not any(u < v for u in family)]
+
+
+@given(st.lists(st.sets(st.sampled_from("abcd"), max_size=4).map(frozenset), max_size=12))
+@settings(max_examples=300)
+def test_inclusion_minimal_matches_its_definition(family):
+    # Duplicates and the empty set are drawn often from a four-letter alphabet.
+    kept, dropped = _inclusion_minimal(family)
+    assert Counter(kept) == Counter(strictly_minimal(family))
+    assert Counter(kept) + Counter(s for s, _ in dropped) == Counter(family)
+    for s, inside in dropped:
+        assert inside == next(k for k in kept if k < s)
+
+
+@given(
+    st.lists(
+        st.tuples(st.sets(st.sampled_from("abcd"), min_size=1, max_size=3), st.sampled_from("abcd")),
+        max_size=10,
+    )
+)
+@settings(max_examples=200)
+def test_minimize_attacks_matches_the_definition_per_target(raw):
+    by_target = {}
+    for source, target in raw:
+        by_target.setdefault(target, set()).add(frozenset(source))
+    expected = {
+        Attack(source, target)
+        for target, sources in by_target.items()
+        for source in strictly_minimal(list(sources))
+    }
+    assert minimize_attacks(raw, "abcd").attacks == expected
+
+
+def pairwise_witness(attacks):
+    """The guard as a pairwise scan: in Attack.sort_key order, the first
+    attack whose source strictly contains an earlier source on its target,
+    with the first such earlier source."""
+    by_target = {}
+    for atk in sorted(attacks, key=Attack.sort_key):
+        for earlier in by_target.get(atk.target, []):
+            if earlier < atk.source:
+                return atk.target, atk.source, earlier
+        by_target.setdefault(atk.target, []).append(atk.source)
+    return None
+
+
+def test_non_minimal_attack_names_the_pair_the_pairwise_scan_names():
+    checked = several_inside = 0
+    for seed in range(2000):
+        rng = random.Random(seed)
+        args = "abcdef"[: rng.randint(2, 6)]
+        attacks = frozenset(
+            Attack(frozenset(rng.sample(args, rng.randint(1, min(3, len(args))))), rng.choice(args))
+            for _ in range(rng.randint(2, 12))
+        )
+        reference = pairwise_witness(attacks)
+        if reference is None:
+            Setaf(frozenset(args), attacks)
+            continue
+        with pytest.raises(NonMinimalAttack) as err:
+            Setaf(frozenset(args), attacks)
+        assert (err.value.target, err.value.source, err.value.smaller) == reference
+        assert str(err.value) == str(NonMinimalAttack(*reference))
+        checked += 1
+        target, source, _ = reference
+        several_inside += sum(a.target == target and a.source < source for a in attacks) > 1
+    # Not vacuous: often more than one source lies inside the reported one.
+    assert checked >= 500 and several_inside >= 100, (checked, several_inside)
 
 
 @given(setafs_st())

@@ -6,10 +6,12 @@ from itertools import chain, combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from setaflp.cli import main
 from setaflp.errors import BlowupCap
 from setaflp.programs import Program, rule
 from setaflp.propcheck import PASS, Caps, GenConfig, _norm, gen_program, gen_setaf, run_suite
-from setaflp.setafs import Attack, Setaf, validate_setaf
+from setaflp.setafs import Attack, Setaf, minimize_attacks, validate_setaf
+from setaflp.textio import parse_program
 from setaflp.translate import (
     arguments,
     is_rfalp,
@@ -297,6 +299,34 @@ def test_wide_program_translates_fast():
     start = time.perf_counter()
     nlp_to_setaf(p)
     assert time.perf_counter() - start < 1.0
+
+
+# t :- not ai_0, not ai_1, not ai_2 for i < 9, and ai_j :- not t: t has 3^9
+# minimal attacking sets, one atom from each of its nine rules.
+WIDE_GADGET = "".join(
+    f"t :- not a{i}_0, not a{i}_1, not a{i}_2.\n" for i in range(9)
+) + "".join(f"a{i}_{j} :- not t.\n" for i in range(9) for j in range(3))
+
+
+def test_wide_gadget_antichains_cost_their_output(tmp_path, capsys):
+    p = parse_program(WIDE_GADGET)
+    start = time.perf_counter()
+    s = nlp_to_setaf.__wrapped__(p)
+    assert time.perf_counter() - start < 3.0
+    assert len(s.attacks) == 19_710
+    start = time.perf_counter()
+    Setaf(s.arguments, s.attacks)
+    assert time.perf_counter() - start < 3.0
+    start = time.perf_counter()
+    assert minimize_attacks(s.attacks, s.arguments) == s
+    assert time.perf_counter() - start < 3.0
+
+    path = tmp_path / "wide.lp"
+    path.write_text(WIDE_GADGET, encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["check", str(path)]) == 3
+    assert time.perf_counter() - start < 5.0
+    assert "universe has 28 atoms, more than the cap of 16" in capsys.readouterr().err
 
 
 TRANSLATE_CACHES = (nlp_to_setaf, setaf_to_nlp, arguments, statements)
