@@ -6,6 +6,8 @@ On the program side, in/out/undec verdicts correspond to true/false/undefined
 restricted to the arguments; atoms with no statements are false in every
 partial stable model, so the program-side conversion pins them to false. On
 the SETAF side the correspondence is the evident triple identification.
+_l2i and _i2l define the two maps once, with | and & alone, so they work on
+frozensets here and on the bitmasks of the theorem-1 and theorem-5 sweeps.
 """
 
 from __future__ import annotations
@@ -37,6 +39,19 @@ from .setafs import (
 from .translate import DEFAULT_STATEMENT_CAP, arguments, nlp_to_setaf
 
 
+def _l2i(in_, out, lost):
+    """Labelling (in, out) -> interpretation (true, false): in becomes true;
+    out becomes false, and so does every lost atom (a universe atom that is
+    no argument). With lost empty it is the SETAF-side map."""
+    return in_, out | lost
+
+
+def _i2l(t, f, args):
+    """Interpretation (true, false) -> labelling (in, out): the restriction
+    to the arguments; undec is the rest of them."""
+    return t & args, f & args
+
+
 def l2i_p(p: Program, l: Labelling, max_statements: int = DEFAULT_STATEMENT_CAP) -> Interpretation:
     """Labelling over arguments(p) -> interpretation over p.universe.
 
@@ -53,7 +68,7 @@ def l2i_p(p: Program, l: Labelling, max_statements: int = DEFAULT_STATEMENT_CAP)
             + ",".join(sorted(args))
             + "}"
         )
-    return Interpretation(l.in_, l.out | (p.universe - args))
+    return Interpretation(*_l2i(l.in_, l.out, p.universe - args))
 
 
 def i2l_p(p: Program, i: Interpretation, max_statements: int = DEFAULT_STATEMENT_CAP) -> Labelling:
@@ -65,16 +80,13 @@ def i2l_p(p: Program, i: Interpretation, max_statements: int = DEFAULT_STATEMENT
     """
     _check_domain(i, p.universe)
     args = arguments(p, max_statements)
-    return Labelling(
-        i.true & args,
-        i.false & args,
-        args - i.true - i.false,
-    )
+    in_, out = _i2l(i.true, i.false, args)
+    return Labelling(in_, out, args - in_ - out)
 
 
 def l2i_af(l: Labelling) -> Interpretation:
     """Labelling -> interpretation over the same argument set: <in, out>."""
-    return Interpretation(l.in_, l.out)
+    return Interpretation(*_l2i(l.in_, l.out, frozenset()))
 
 
 def i2l_af(i: Interpretation, args: Iterable[str]) -> Labelling:
@@ -86,7 +98,8 @@ def i2l_af(i: Interpretation, args: Iterable[str]) -> Labelling:
         raise DomainMismatch(
             "interpretation mentions non-arguments: " + ", ".join(sorted(map(str, stray)))
         )
-    return Labelling(i.true, i.false, domain - i.true - i.false)
+    in_, out = _i2l(i.true, i.false, domain)
+    return Labelling(in_, out, domain - in_ - out)
 
 
 # --- the five semantics pairs ------------------------------------------------

@@ -23,6 +23,7 @@ from functools import lru_cache
 from typing import Callable
 
 from .correspond import PAIRS, SemanticsPair, check_equivalence, i2l_af, i2l_p, l2i_af, l2i_p
+from .correspond import _i2l, _l2i  # the same maps, swept on bitmasks by theorem-1 and theorem-5
 from .errors import CapExceeded, InputError, StepCapExceeded
 from .programs import (
     DEFAULT_ATOM_CAP,
@@ -205,49 +206,38 @@ def _norm(p: Program, strategy: str, max_steps: int) -> tuple[Program, tuple[Tra
     return p, tuple(steps)
 
 
-# --- labelling <-> interpretation conversions on bitmasks ------------------------
-# theorem-1 and theorem-5 run the conversions of correspond.py over all 3^n
-# labellings and interpretations. These are the same definitions on masks,
-# so the sweeps build objects and text for the first counterexample only.
-
-
-def _l2i_bits(in_: int, out: int, lost: int) -> tuple[int, int]:
-    """l2i_p: in becomes true, out and every lost atom (a universe atom
-    that is no argument) false. With lost = 0 it is l2i_af."""
-    return in_, out | lost
-
-
-def _i2l_bits(t: int, f: int, args: int) -> tuple[int, int]:
-    """i2l_p: the (in, out) restriction to the arguments; undec is the rest
-    of them. With every atom an argument it is i2l_af."""
-    return t & args, f & args
-
-
 # --- program-side suites --------------------------------------------------------
 
 
-@_suite("theorem-1", "lp", "labelling -> interpretation -> labelling is the identity")
-def _t1(p: Program, caps: Caps) -> Verdict:
-    """Every labelling of the arguments, in all_labellings order, goes to
-    an interpretation over the universe and back, on bitmasks."""
-    args = arguments(p, caps.max_statements)
-    _guard_enum(len(args), caps)
-    ix = _AtomIndex(p.universe)
-    a = ix.mask(args)
+def _labellings_round_trip(name: str, ix: _AtomIndex, a: int) -> Verdict | None:
+    """Every labelling of the arguments *a*, in all_labellings order, goes
+    through correspond's conversions, on bitmasks, to an interpretation over
+    the atoms of *ix* and back. The failure at the first one that does not
+    come back, or None; objects and text are built for that one alone."""
     lost = ix.full & ~a
 
     def labelling(in_: int, out: int) -> Labelling:
         return Labelling(ix.unmask(in_), ix.unmask(out), ix.unmask(a & ~in_ & ~out))
 
-    for in_, out in _three_valued([1 << ix.index[x] for x in sorted(args)]):
-        back = _i2l_bits(*_l2i_bits(in_, out, lost), a)
+    for in_, out in _three_valued([1 << i for i in range(ix.n) if a >> i & 1]):
+        back = _i2l(*_l2i(in_, out, lost), a)
         if back != (in_, out):
             return _fail(
-                "theorem-1",
+                name,
                 f"{print_labelling(labelling(in_, out))} came back as "
                 f"{print_labelling(labelling(*back))}",
             )
-    return _pass("theorem-1")
+    return None
+
+
+@_suite("theorem-1", "lp", "labelling -> interpretation -> labelling is the identity")
+def _t1(p: Program, caps: Caps) -> Verdict:
+    """Every labelling of the arguments goes to an interpretation over the
+    universe and back."""
+    args = arguments(p, caps.max_statements)
+    _guard_enum(len(args), caps)
+    ix = _AtomIndex(p.universe)
+    return _labellings_round_trip("theorem-1", ix, ix.mask(args)) or _pass("theorem-1")
 
 
 @_suite("theorem-2", "lp", "interpretation -> labelling -> interpretation fixes partial stable models")
@@ -288,6 +278,30 @@ def _t3(p: Program, caps: Caps) -> Verdict:
 # The four selected semantics pairs of theorems 4 and 7 (and corollaries 3-5).
 _SELECTED = PAIRS[1:]
 
+# Regular models are the partial stable models whose true set no other one
+# strictly contains, l-stable models those whose true | false set none does;
+# preferred and semi-stable labellings are the complete labellings alike by
+# in and in | out. Keyed by pair, program side first.
+_MAXIMIZED = {
+    "regular": (lambda m: m.true, lambda l: l.in_),
+    "l-stable": (lambda m: m.true | m.false, lambda l: l.in_ | l.out),
+}
+
+
+def _selection_ce(pair: SemanticsPair, p: Program, s: Setaf, models, labs, caps: Caps) -> str | None:
+    """Both sides of a maximizing pair against their definitions, by a
+    dominance test apart from programs._maximal."""
+    if pair.lp_name not in _MAXIMIZED:
+        return None
+    sides = (
+        (pair.lp_name, models, partial_stable_models(p, caps.max_atoms), "partial stable models"),
+        (pair.af_name, labs, complete_labellings(s, caps.max_atoms), "complete labellings"),
+    )
+    for (name, got, base, what), key in zip(sides, _MAXIMIZED[pair.lp_name]):
+        if set(got) != {x for x in base if not any(key(x) < key(y) for y in base)}:
+            return f"{name}: the selection differs from its definition over the {what}"
+    return None
+
 
 def _theorem4_item(p: Program, caps: Caps, pair: SemanticsPair) -> str | None:
     s = nlp_to_setaf(p, caps.max_statements)
@@ -299,7 +313,7 @@ def _theorem4_item(p: Program, caps: Caps, pair: SemanticsPair) -> str | None:
     back = {l2i_p(p, l, caps.max_statements) for l in labs}
     if back != set(models):
         return f"{pair.title}: labellings map back to a different model set"
-    return None
+    return _selection_ce(pair, p, s, models, labs, caps)
 
 
 @_suite("corollary-2", "lp", "the five-row equivalence report holds in both directions")
@@ -316,29 +330,19 @@ def _c2(p: Program, caps: Caps) -> Verdict:
 
 @_suite("theorem-5", "setaf", "labelling/interpretation conversions are mutual inverses")
 def _t5(s: Setaf, caps: Caps) -> Verdict:
-    """Every labelling (all_labellings order), then every interpretation
-    (all_interpretations order) over the arguments goes across and back,
-    on bitmasks."""
+    """Every labelling, then every interpretation (all_interpretations
+    order) over the arguments goes across and back, on bitmasks."""
     _guard_enum(len(s.arguments), caps)
     ix = _AtomIndex(s.arguments)
-    bits = [1 << i for i in range(ix.n)]
-
-    def labelling(in_: int, out: int) -> Labelling:
-        return Labelling(ix.unmask(in_), ix.unmask(out), ix.unmask(ix.full & ~in_ & ~out))
+    failed = _labellings_round_trip("theorem-5", ix, ix.full)
+    if failed:
+        return failed
 
     def interpretation(t: int, f: int) -> str:
         return print_interpretation(Interpretation(ix.unmask(t), ix.unmask(f)), s.arguments)
 
-    for in_, out in _three_valued(bits):
-        back = _i2l_bits(*_l2i_bits(in_, out, 0), ix.full)
-        if back != (in_, out):
-            return _fail(
-                "theorem-5",
-                f"{print_labelling(labelling(in_, out))} came back as "
-                f"{print_labelling(labelling(*back))}",
-            )
-    for t, f in _three_valued(bits):
-        back = _l2i_bits(*_i2l_bits(t, f, ix.full), 0)
+    for t, f in _three_valued([1 << i for i in range(ix.n)]):
+        back = _l2i(*_i2l(t, f, ix.full), 0)
         if back != (t, f):
             return _fail("theorem-5", f"{interpretation(t, f)} came back as {interpretation(*back)}")
     return _pass("theorem-5")
@@ -374,7 +378,7 @@ def _theorem7_item(s: Setaf, caps: Caps, pair: SemanticsPair) -> str | None:
     back = {i2l_af(m, s.arguments) for m in models}
     if back != set(labs):
         return f"{pair.title}: models map back to a different labelling set"
-    return None
+    return _selection_ce(pair, p2, s, models, labs, caps)
 
 
 def _register_items(theorem: str, kind: str, item: Callable, side: str):

@@ -121,7 +121,7 @@ def programs_st(draw):
 
 
 @given(programs_st())
-@settings(max_examples=100)
+@settings(max_examples=100, deadline=None)
 def test_equivalence_report_is_always_ok(p):
     assert check_equivalence(p).ok
 

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from setaflp import correspond, programs, propcheck, setafs, translate
+from setaflp import correspond, programs, setafs, translate
 from setaflp.programs import Interpretation, Program
 from setaflp.propcheck import FAIL, GenConfig, gen_program, gen_setaf, run_suite, suite_names
 from setaflp.setafs import Labelling
@@ -108,8 +108,16 @@ def three_valued_reversed(bits):
         yield both & low, both >> shift
 
 
-def l2i_bits_without_lost(in_, out, lost):
+def l2i_without_lost(in_, out, lost):
     return in_, out
+
+
+def l2i_swapped(in_, out, lost):
+    return out | lost, in_
+
+
+def i2l_swapped(t, f, args):
+    return f & args, t & args
 
 
 L2I_P = correspond.l2i_p
@@ -144,10 +152,12 @@ MUTANTS = {
     (setafs, "grounded", grounded_without_out_rule): {
         "corollary-2", "corollary-3", "theorem-4", "theorem-4.1", "theorem-7", "theorem-7.1",
     },
-    # Blind spot: both sides of every filtered pair come out empty alike.
-    # The test_selections_match_their_definitions* tests of test_programs.py
-    # and test_setafs.py catch it.
-    (programs, "_maximal", maximal_with_le): set(),
+    # Both sides of every filtered pair come out empty alike, so the pairs
+    # still correspond; the check of each selection against its definition
+    # is what fails.
+    (programs, "_maximal", maximal_with_le): {
+        "theorem-4", "theorem-4.2", "theorem-4.4", "theorem-7", "theorem-7.2", "theorem-7.4",
+    },
     (setafs, "semi_stable", setafs.preferred): {
         "corollary-2", "corollary-3", "theorem-4", "theorem-4.4", "theorem-7", "theorem-7.4",
     },
@@ -157,14 +167,29 @@ MUTANTS = {
     (programs, "_three_valued", three_valued_reversed): set(),
     # theorem-1 maps a labelling to an interpretation and back, and the way
     # back restricts to the arguments: by its statement it cannot see lost
-    # atoms, so no suite fails. The l2i_p row below covers the library's
-    # lost atoms. test_propcheck.py::test_theorem_1_counterexamples_match_
-    # the_reference_sweep pins this sweep helper through its perturbed
-    # conversions.
-    (propcheck, "_l2i_bits", l2i_bits_without_lost): set(),
+    # atoms. The suites that compare l2i_p's models with the program's fail,
+    # whether the lost term goes from the one definition or from l2i_p.
+    (correspond, "_l2i", l2i_without_lost): {
+        "corollary-2", "theorem-2", "theorem-3", "theorem-4",
+        "theorem-4.1", "theorem-4.2", "theorem-4.3", "theorem-4.4",
+    },
     (correspond, "l2i_p", l2i_p_without_lost): {
         "corollary-2", "theorem-2", "theorem-3", "theorem-4",
         "theorem-4.1", "theorem-4.2", "theorem-4.3", "theorem-4.4",
+    },
+    # One definition serves the library and the theorem-1/theorem-5 sweeps,
+    # so a swap of in and out fails the sweeps with every correspondence.
+    (correspond, "_l2i", l2i_swapped): {
+        "corollary-2", "corollary-3", "theorem-1", "theorem-2", "theorem-3",
+        "theorem-4", "theorem-4.1", "theorem-4.2", "theorem-4.3", "theorem-4.4",
+        "theorem-5", "theorem-6",
+        "theorem-7", "theorem-7.1", "theorem-7.2", "theorem-7.3", "theorem-7.4",
+    },
+    (correspond, "_i2l", i2l_swapped): {
+        "corollary-2", "corollary-3", "theorem-1", "theorem-2", "theorem-3",
+        "theorem-4", "theorem-4.1", "theorem-4.2", "theorem-4.3", "theorem-4.4",
+        "theorem-5", "theorem-6",
+        "theorem-7", "theorem-7.1", "theorem-7.2", "theorem-7.3", "theorem-7.4",
     },
     (translate, "setaf_to_nlp", setaf_to_nlp_without_last_rule): {
         "composite-normal-form", "corollary-3", "prop-1", "theorem-6", "theorem-7",

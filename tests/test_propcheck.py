@@ -1,8 +1,10 @@
 """Generators, suite catalogue, and the suite runner."""
 
+import sys
+
 import pytest
 
-from setaflp import programs, propcheck
+from setaflp import correspond, programs, propcheck
 from setaflp.errors import BlowupCap, InputError
 from setaflp.programs import Interpretation, Program, all_interpretations
 from setaflp.setafs import Labelling, all_labellings
@@ -145,11 +147,13 @@ def test_all_suites_pass_on_small_seeded_instances():
 
 # --- the definition-level sweeps, kept as oracles -----------------------------
 # corollary-1 and lemma-1 sweep omega's images on bitmasks, and theorem-1
-# and theorem-5 sweep the labelling conversions on bitmasks. These are the
-# sweeps they replaced, over all_interpretations or all_labellings and the
+# and theorem-5 sweep correspond's own _l2i and _i2l on bitmasks. These are
+# the sweeps they replaced, over all_interpretations or all_labellings and the
 # object-level omega and conversions. They read the translation, omega and
 # the conversions through the propcheck module, so a test that patches one
-# there patches both sides alike.
+# there patches both sides alike. The object-level conversions compute
+# through _l2i and _i2l too, so a test that perturbs one of those, on sets
+# and masks alike, perturbs both sides of theorem-1 and theorem-5.
 
 
 def reference_theorem_1(p, caps=Caps()):
@@ -328,35 +332,30 @@ def test_bitmask_conversion_sweeps_match_the_reference_sweeps():
         assert run_suite("theorem-5", s) == reference_theorem_5(s)
 
 
-def _leave_smallest_false_undec(monkeypatch, i2l_name):
-    """Perturb an object-level i2l conversion and its mask form alike: when
-    at least two atoms are false, the smallest of them is labelled undec
-    instead of out. The universe's lost atoms count towards the two, and
-    the smallest may be one of them."""
-    real = getattr(propcheck, i2l_name)
-    real_bits = propcheck._i2l_bits
+def _leave_smallest_false_undec(monkeypatch):
+    """Perturb correspond's interpretation -> labelling map, in every module
+    that holds it, on frozensets and bitmasks alike: when at least two atoms
+    are false, the smallest of them is labelled undec instead of out. The
+    universe's lost atoms count towards the two, and the smallest may be
+    one of them."""
+    real = correspond._i2l
 
-    def i2l(*args):
-        l = real(*args)
-        i = args[1] if i2l_name == "i2l_p" else args[0]
-        if len(i.false) >= 2:
-            x = min(i.false)
-            if x in l.out:
-                return Labelling(l.in_, l.out - {x}, l.undec | {x})
-        return l
-
-    def i2l_bits(t, f, args):
-        in_, out = real_bits(t, f, args)
-        if f.bit_count() >= 2:
-            out &= ~(f & -f)
+    def i2l(t, f, args):
+        in_, out = real(t, f, args)
+        if isinstance(f, int):
+            if f.bit_count() >= 2:
+                out &= ~(f & -f)
+        elif len(f) >= 2:
+            out -= {min(f)}
         return in_, out
 
-    monkeypatch.setattr(propcheck, i2l_name, i2l)
-    monkeypatch.setattr(propcheck, "_i2l_bits", i2l_bits)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("setaflp") and vars(module).get("_i2l") is real:
+            monkeypatch.setattr(module, "_i2l", i2l)
 
 
 def test_theorem_1_counterexamples_match_the_reference_sweep(monkeypatch):
-    _leave_smallest_false_undec(monkeypatch, "i2l_p")
+    _leave_smallest_false_undec(monkeypatch)
     failed = 0
     for p in _small_programs():
         verdict = run_suite("theorem-1", p)
@@ -366,7 +365,7 @@ def test_theorem_1_counterexamples_match_the_reference_sweep(monkeypatch):
 
 
 def test_theorem_5_counterexamples_match_the_reference_sweep(monkeypatch):
-    _leave_smallest_false_undec(monkeypatch, "i2l_af")
+    _leave_smallest_false_undec(monkeypatch)
     failed = 0
     for seed in range(120):
         s = gen_setaf(GenConfig(1 + seed % 5, seed % 7, seed=seed + 6500))
